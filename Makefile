@@ -12,7 +12,7 @@ RACE_PKGS := ./internal/defense/ ./internal/prog/ ./internal/fleet/ ./internal/s
 COVER_GATE_PKGS := ./internal/heapsim/ ./internal/campaign/ ./internal/defense/ ./internal/shadow/ ./internal/mem/ ./internal/telemetry/ ./internal/fleet/ ./internal/serve/
 COVER_MIN := 80
 
-.PHONY: all build test race vet fmt-check bench bench-json bench-campaign bench-campaign-json bench-fleet bench-policy bench-policy-json bench-serve bench-serve-json bench-vm bench-compiled bench-encoding bench-smoke bench-telemetry check cover corpus fuzz-smoke
+.PHONY: all build test race vet fmt-check bench bench-json bench-campaign bench-campaign-json bench-fleet bench-policy bench-policy-json bench-serve bench-serve-json bench-engines bench-encoding bench-smoke bench-telemetry check cover corpus fuzz-smoke perfbench-check
 
 all: check
 
@@ -59,22 +59,17 @@ bench-serve:
 bench-serve-json:
 	$(GO) run ./cmd/htp-bench -exp serve -json
 
-# Interpreter engine benchmarks: tree-walker vs bytecode VM plus the
-# one-time compile cost. BENCHTIME=1x gives a fast smoke run.
+# Execution engines, tree-walker vs compiled: the compiled engine's
+# pins (construction, Prepare, 0 allocs/op RunReuse), the engine and
+# encoded-call benchmarks plus the one-time compile cost, and the
+# engines experiment (per-workload speedup, virtual cycles verified
+# equal, steady-state 0 allocs/run). BENCHTIME=1x gives a fast smoke run.
 BENCHTIME ?= 1s
-bench-vm:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngines|BenchmarkCompile' -benchmem \
+bench-engines:
+	$(GO) test -run 'Machine|Prepare|EncodedCall' -count 1 ./internal/prog/
+	$(GO) test -run '^$$' -bench 'BenchmarkEngines|BenchmarkCompile|BenchmarkEncodedCall' -benchmem \
 		-benchtime $(BENCHTIME) ./internal/prog/
-
-# Tier-up compiled engine: the encoded-call benchmarks across all
-# three engines, the promotion-parity and zero-alloc pins, and the
-# tierup experiment's three-engine geomean table (the committed
-# BENCH_*.json baseline requires >= 1.5x geomean over the VM).
-bench-compiled:
-	$(GO) test -run 'Machine|EncodedCall' -count 1 -v ./internal/prog/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
-	$(GO) test -run '^$$' -bench 'BenchmarkEncodedCall' -benchmem \
-		-benchtime $(BENCHTIME) ./internal/prog/
-	$(GO) run ./cmd/htp-bench -exp tierup
+	$(GO) run ./cmd/htp-bench -exp engines
 
 # Encoding-path benchmarks and allocation pins: planner scratch reuse,
 # the per-call update arithmetic (0 allocs/op), and the end-to-end
@@ -146,9 +141,22 @@ cover:
 corpus:
 	$(GO) run ./cmd/htp-fuzz -emit-corpus testdata/campaign -seeds 20
 
-# Short native-fuzzing shake of the campaign generator and reducer.
+# Short native-fuzzing shake of every Fuzz target in the repo, one
+# FUZZTIME budget each.
+FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzGenerate -fuzztime 10s ./internal/campaign/
-	$(GO) test -run '^$$' -fuzz FuzzReduce -fuzztime 10s ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime $(FUZZTIME) ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz '^FuzzOracle$$' -fuzztime $(FUZZTIME) ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz '^FuzzPolicyEquivalence$$' -fuzztime $(FUZZTIME) ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz '^FuzzReduce$$' -fuzztime $(FUZZTIME) ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz '^FuzzVMvsTree$$' -fuzztime $(FUZZTIME) ./internal/prog/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/progtext/
+	$(GO) test -run '^$$' -fuzz '^FuzzDensePlanEquivalence$$' -fuzztime $(FUZZTIME) ./internal/encoding/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadConfig$$' -fuzztime $(FUZZTIME) ./internal/patch/
+
+# The benchmark harness is a nested module (perfbench/go.mod), so the
+# root build and test never compile it: vet and test it on its own.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 check: build vet fmt-check test race cover

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	htp-bench [-exp all|encoding|table2|table3|table4|fig8|fig9|services|ablation|guard|fleet|serve|campaign|telemetry|policy|vm|tierup] [-quick] [-scale N] [-engine tree|vm|compiled] [-tierup N]
+//	htp-bench [-exp all|encoding|table2|table3|table4|fig8|fig9|services|ablation|guard|fleet|serve|campaign|telemetry|policy|engines] [-quick] [-scale N] [-engine tree|compiled]
 package main
 
 import (
@@ -29,12 +29,11 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("htp-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment to run: all, encoding, table2, table3, table4, fig8, fig9, services, concurrent, ablation, stackoffset, scaling, guard, fleet, serve, campaign, telemetry, policy, vm, tierup")
+	exp := fs.String("exp", "all", "experiment to run: all, encoding, table2, table3, table4, fig8, fig9, services, concurrent, ablation, stackoffset, scaling, guard, fleet, serve, campaign, telemetry, policy, engines")
 	quick := fs.Bool("quick", false, "trim sweeps for a fast run")
 	scale := fs.Uint64("scale", 0, "divisor for Table IV allocation counts (default 10000)")
 	jsonOut := fs.Bool("json", false, "emit per-experiment wall time and allocations as JSON instead of rendered tables")
-	engineName := fs.String("engine", "vm", "execution engine for measured runs: tree, vm, or compiled (results are bit-identical; vm and compiled are faster)")
-	tierUp := fs.Uint64("tierup", 0, "compiled-engine promotion threshold in calls (0 = default)")
+	engineName := fs.String("engine", "compiled", "execution engine for measured runs: tree or compiled (results are bit-identical; compiled is faster)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -42,17 +41,15 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := experiments.Config{Quick: *quick, Scale: *scale, Engine: engine, TierUp: *tierUp}
+	cfg := experiments.Config{Quick: *quick, Scale: *scale, Engine: engine}
 
 	type runner struct {
 		name string
 		fn   func() (fmt.Stringer, error)
 	}
-	// vmResult / tierUpResult capture the engine comparisons so -json
-	// can record the speedups and zero-alloc pins alongside the wall
-	// time.
-	var vmResult *experiments.VMComparisonResult
-	var tierUpResult *experiments.TierUpComparisonResult
+	// enginesResult captures the engine comparison so -json can record
+	// the speedup and zero-alloc pin alongside the wall time.
+	var enginesResult *experiments.EngineComparisonResult
 	var campaignResult *experiments.CampaignThroughputResult
 	var serveResult *experiments.ServeThroughputResult
 	var policyResult *experiments.PolicyMatrixResult
@@ -127,17 +124,10 @@ func run(args []string) error {
 			}
 			return r, err
 		})},
-		{"vm", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			r, err := experiments.VMComparison(c)
+		{"engines", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
+			r, err := experiments.EngineComparison(c)
 			if err == nil {
-				vmResult = r
-			}
-			return r, err
-		})},
-		{"tierup", wrap(func(c experiments.Config) (interface{ Render() string }, error) {
-			r, err := experiments.TierUpComparison(c)
-			if err == nil {
-				tierUpResult = r
+				enginesResult = r
 			}
 			return r, err
 		})},
@@ -179,18 +169,10 @@ func run(args []string) error {
 				AllocsOp:   after.Mallocs - before.Mallocs,
 				BytesAlloc: after.TotalAlloc - before.TotalAlloc,
 			}
-			if r.name == "vm" && vmResult != nil {
+			if r.name == "engines" && enginesResult != nil {
 				br.Detail = map[string]float64{
-					"geomean_speedup":        vmResult.GeomeanSpeedup,
-					"steady_state_allocs_op": vmResult.SteadyStateAllocs,
-				}
-			}
-			if r.name == "tierup" && tierUpResult != nil {
-				br.Detail = map[string]float64{
-					"geomean_vs_vm":          tierUpResult.GeomeanVsVM,
-					"geomean_vs_tree":        tierUpResult.GeomeanVsTree,
-					"tierup_threshold":       float64(tierUpResult.Threshold),
-					"steady_state_allocs_op": tierUpResult.SteadyStateAllocs,
+					"geomean_speedup":        enginesResult.GeomeanSpeedup,
+					"steady_state_allocs_op": enginesResult.SteadyStateAllocs,
 				}
 			}
 			if r.name == "serve" && serveResult != nil {
@@ -240,17 +222,12 @@ func run(args []string) error {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		tierUpRecorded := *tierUp
-		if tierUpRecorded == 0 {
-			tierUpRecorded = prog.DefaultTierUp
-		}
 		return enc.Encode(benchReport{
 			GoVersion:   runtime.Version(),
 			GOOS:        runtime.GOOS,
 			GOARCH:      runtime.GOARCH,
 			GOMAXPROCS:  runtime.GOMAXPROCS(0),
 			Engine:      engine.String(),
-			TierUp:      tierUpRecorded,
 			Quick:       *quick,
 			Experiments: results,
 		})
@@ -262,14 +239,11 @@ func run(args []string) error {
 // record per experiment, suitable for committed BENCH_*.json baselines
 // and cross-run comparison.
 type benchReport struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Engine     string `json:"engine"`
-	// TierUp is the compiled engine's promotion threshold in effect for
-	// this report (the resolved default when -tierup was not given).
-	TierUp      uint64        `json:"tierup_threshold"`
+	GoVersion   string        `json:"go_version"`
+	GOOS        string        `json:"goos"`
+	GOARCH      string        `json:"goarch"`
+	GOMAXPROCS  int           `json:"gomaxprocs"`
+	Engine      string        `json:"engine"`
 	Quick       bool          `json:"quick"`
 	Experiments []benchResult `json:"experiments"`
 }
@@ -279,8 +253,9 @@ type benchResult struct {
 	NsOp       int64  `json:"ns_op"`
 	AllocsOp   uint64 `json:"allocs_op"`
 	BytesAlloc uint64 `json:"bytes_alloc"`
-	// Detail carries experiment-specific headline numbers (currently
-	// the vm experiment's geomean speedup and zero-alloc pin).
+	// Detail carries experiment-specific headline numbers (the engines
+	// experiment's geomean speedup and zero-alloc pin, serve, policy
+	// and campaign throughput).
 	Detail map[string]float64 `json:"detail,omitempty"`
 }
 

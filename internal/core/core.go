@@ -40,10 +40,6 @@ type Options struct {
 	// are differentially verified bit-identical, so patches generated
 	// under one apply under the other.
 	Engine prog.Engine
-	// TierUp is the compiled engine's promotion threshold in calls
-	// before a function is lowered to closure code (0 = default; only
-	// consulted when Engine is prog.EngineCompiled).
-	TierUp uint64
 	// Telemetry, when non-nil, instruments every pipeline stage run
 	// through this System: each run binds one scope for its space,
 	// allocator, and (where applicable) defense or shadow layer, plus
@@ -105,7 +101,6 @@ func (s *System) GeneratePatches(attackInput []byte) (*analysis.Report, error) {
 		Coder:        s.coder,
 		MaxSteps:     s.opts.MaxSteps,
 		Engine:       s.opts.Engine,
-		TierUp:       s.opts.TierUp,
 		ShadowConfig: shadow.Config{Telemetry: s.scope()},
 	}
 	return a.Analyze(s.program, attackInput)
@@ -139,7 +134,7 @@ func (s *System) RunNative(input []byte) (*prog.Result, error) {
 	if h := backend.Heap(); h != nil {
 		h.SetTelemetry(tel)
 	}
-	it, err := prog.NewExec(s.program, prog.Config{Backend: backend, MaxSteps: s.opts.MaxSteps, Engine: s.opts.Engine, TierUp: s.opts.TierUp})
+	it, err := prog.NewExec(s.program, prog.Config{Backend: backend, MaxSteps: s.opts.MaxSteps, Engine: s.opts.Engine})
 	if err != nil {
 		return nil, fmt.Errorf("core: building interpreter: %w", err)
 	}
@@ -189,7 +184,6 @@ func (s *System) RunDefended(input []byte, patches *patch.Set) (*DefendedRun, er
 		Coder:    s.coder,
 		MaxSteps: s.opts.MaxSteps,
 		Engine:   s.opts.Engine,
-		TierUp:   s.opts.TierUp,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: building interpreter: %w", err)
@@ -263,7 +257,6 @@ func (s *System) RunDefendedThreads(inputs [][]byte, patches *patch.Set) ([]*pro
 		Coder:    s.coder,
 		MaxSteps: s.opts.MaxSteps,
 		Engine:   s.opts.Engine,
-		TierUp:   s.opts.TierUp,
 	}, inputs, prog.DefaultQuantum)
 	if err != nil {
 		return nil, defense.Stats{}, fmt.Errorf("core: defended threads: %w", err)
@@ -279,7 +272,6 @@ func (s *System) GeneratePatchesPartitioned(attackInput []byte, n int) (*analysi
 		Coder:        s.coder,
 		MaxSteps:     s.opts.MaxSteps,
 		Engine:       s.opts.Engine,
-		TierUp:       s.opts.TierUp,
 		ShadowConfig: shadow.Config{Telemetry: s.scope()},
 	}
 	return a.AnalyzePartitioned(s.program, attackInput, n)

@@ -7,7 +7,7 @@ import (
 )
 
 // checkDenseEquivalence proves the dense Plan/Coder bit-identical to
-// the retained map-based reference (reference.go) on one graph: same
+// the retained map-based reference (reference_test.go) on one graph: same
 // site sets, same per-site constants, same CCIDs over enumerated
 // contexts, and same Decode paths/errors — for every scheme × encoder.
 func checkDenseEquivalence(t testing.TB, g *callgraph.Graph, targets []callgraph.NodeID) {

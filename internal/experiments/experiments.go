@@ -35,16 +35,11 @@ type Config struct {
 	Scale uint64
 	// Quick trims parameter sweeps for fast runs.
 	Quick bool
-	// Engine selects the execution substrate (tree interpreter,
-	// bytecode VM, or tier-up compiled machine). All three produce
-	// bit-identical measurements — locked in by
-	// TestExperimentsEngineIndependent — so the choice only affects
-	// wall-clock time of the experiment harness itself.
+	// Engine selects the execution substrate (tree interpreter or
+	// compiled engine). Both produce bit-identical measurements —
+	// locked in by TestExperimentsEngineIndependent — so the choice
+	// only affects wall-clock time of the experiment harness itself.
 	Engine prog.Engine
-	// TierUp is the compiled engine's promotion threshold (calls before
-	// a function is lowered to closure code); 0 means prog.DefaultTierUp.
-	// Only the tierup experiment and EngineCompiled runs consult it.
-	TierUp uint64
 }
 
 func (c Config) programConfig() workload.ProgramConfig {

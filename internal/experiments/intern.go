@@ -14,9 +14,9 @@ import (
 )
 
 // This file is the experiment harness's interning layer. Programs,
-// call graphs, plans, coders, and compiled bytecode are all immutable
-// once constructed, so experiments share one instance per logical
-// identity instead of rebuilding them for every measured run: a
+// call graphs, plans, coders, and compiled programs are all
+// goroutine-safe and immutable to their users once constructed, so
+// experiments share one instance per logical identity instead of rebuilding them for every measured run: a
 // benchmark sweep that used to plan, number, and compile the same
 // (program, scheme, encoder) triple eight times now does it once.
 // Sharing cannot perturb measurements — execution over these
@@ -47,9 +47,10 @@ type coderKey struct {
 	kind   encoding.EncoderKind
 }
 
-type compiledKey struct {
-	p     *prog.Program
-	coder *encoding.Coder
+type preparedKey struct {
+	p      *prog.Program
+	coder  *encoding.Coder
+	engine prog.Engine
 }
 
 type graphEntry struct {
@@ -69,7 +70,7 @@ var intern = struct {
 	graphs   map[string]graphEntry
 	plans    map[planKey]*encoding.Plan
 	coders   map[coderKey]*encoding.Coder
-	compiled map[compiledKey]*prog.Compiled
+	prepared map[preparedKey]prog.Config
 }{
 	planner:  encoding.NewPlanner(),
 	programs: make(map[progKey]*prog.Program),
@@ -77,7 +78,7 @@ var intern = struct {
 	graphs:   make(map[string]graphEntry),
 	plans:    make(map[planKey]*encoding.Plan),
 	coders:   make(map[coderKey]*encoding.Coder),
-	compiled: make(map[compiledKey]*prog.Compiled),
+	prepared: make(map[preparedKey]prog.Config),
 }
 
 // internedProgram returns the shared program for (benchmark, scale,
@@ -166,53 +167,42 @@ func internedCoder(g *callgraph.Graph, targets []callgraph.NodeID, scheme encodi
 	return c, nil
 }
 
-// internedCompiled returns bytecode for (program, coder), cached when
-// the program is itself interned; ad-hoc programs compile fresh so the
-// cache holds only the benchmark set.
-func internedCompiled(p *prog.Program, coder *encoding.Coder) (*prog.Compiled, error) {
-	key := compiledKey{p: p, coder: coder}
+// internedConfig returns prog.Prepare's Config for (program, coder,
+// engine), cached when the program is itself interned; ad-hoc
+// programs prepare fresh so the cache holds only the benchmark set.
+func internedConfig(p *prog.Program, coder *encoding.Coder, engine prog.Engine) (prog.Config, error) {
+	key := preparedKey{p: p, coder: coder, engine: engine}
 	intern.mu.Lock()
 	cached := intern.progSet[p]
 	if cached {
-		if c, ok := intern.compiled[key]; ok {
+		if cfg, ok := intern.prepared[key]; ok {
 			intern.mu.Unlock()
-			return c, nil
+			return cfg, nil
 		}
 	}
 	intern.mu.Unlock()
-	c, err := prog.Compile(p, coder)
+	cfg, err := prog.Prepare(p, prog.Config{Coder: coder, Engine: engine})
 	if err != nil {
-		return nil, err
+		return cfg, err
 	}
 	if cached {
 		intern.mu.Lock()
-		intern.compiled[key] = c
+		intern.prepared[key] = cfg
 		intern.mu.Unlock()
 	}
-	return c, nil
+	return cfg, nil
 }
 
-// execFor builds an executor like prog.NewExec but routes the bytecode
-// engines through the compiled-bytecode cache, so repeated runs of the
-// same (program, coder) pair compile once. The tier-up machine uses
-// the default promotion threshold; experiments that sweep thresholds
-// construct their machines directly.
+// execFor builds an executor like prog.NewExec but through the
+// interned Config, so repeated runs of the same (program, coder) pair
+// on the compiled engine compile once and lower each function once.
 func execFor(engine prog.Engine, p *prog.Program, coder *encoding.Coder, backend prog.HeapBackend) (prog.Exec, error) {
-	switch engine {
-	case prog.EngineTree:
-		return prog.New(p, prog.Config{Backend: backend, Coder: coder})
-	case prog.EngineVM, prog.EngineCompiled:
-		c, err := internedCompiled(p, coder)
-		if err != nil {
-			return nil, err
-		}
-		if engine == prog.EngineCompiled {
-			return prog.NewMachine(c, prog.Config{Backend: backend, Coder: coder})
-		}
-		return prog.NewVM(c, prog.Config{Backend: backend, Coder: coder})
-	default:
-		return nil, fmt.Errorf("experiments: unknown engine %v", engine)
+	cfg, err := internedConfig(p, coder, engine)
+	if err != nil {
+		return nil, err
 	}
+	cfg.Backend = backend
+	return prog.NewExec(p, cfg)
 }
 
 // workbench recycles the mutable execution substrate — address

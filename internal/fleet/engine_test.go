@@ -25,8 +25,8 @@ func runOnEngine(t *testing.T, engine prog.Engine, ctx *Context, p *prog.Program
 	return snap(t, res, ctx.Defender())
 }
 
-// TestFleetVMBitIdenticalAcrossReset: requests served by the bytecode
-// VM on a RECYCLED context must be bit-identical to the same requests
+// TestFleetVMBitIdenticalAcrossReset: requests served by the compiled
+// engine on a RECYCLED context must be bit-identical to the same requests
 // served by the tree interpreter on FRESH contexts — the strongest
 // cross-product of the two equivalence claims (engine identity and
 // recycling identity), over both allocators, including the guard-page
@@ -52,15 +52,15 @@ func TestFleetVMBitIdenticalAcrossReset(t *testing.T) {
 			t.Run(kind.String()+"/"+c.name, func(t *testing.T) {
 				cfg := Config{Workers: 1, Defended: true, Patches: c.patches, Alloc: kind}
 
-				// VM over one recycled context.
-				vmFleet := New(cfg)
-				ctx, err := vmFleet.newContext()
+				// Compiled engine over one recycled context.
+				cFleet := New(cfg)
+				ctx, err := cFleet.newContext()
 				if err != nil {
 					t.Fatal(err)
 				}
-				var vmSnaps []snapshot
+				var cSnaps []snapshot
 				for _, in := range c.inputs {
-					vmSnaps = append(vmSnaps, runOnEngine(t, prog.EngineVM, ctx, c.p, c.coder, in))
+					cSnaps = append(cSnaps, runOnEngine(t, prog.EngineCompiled, ctx, c.p, c.coder, in))
 					if err := ctx.Reset(); err != nil {
 						t.Fatal(err)
 					}
@@ -74,9 +74,9 @@ func TestFleetVMBitIdenticalAcrossReset(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := runOn(t, fresh, c.p, c.coder, in)
-					if vmSnaps[i] != want {
-						t.Errorf("request %d (%x): recycled VM diverges from fresh tree\nvm:   %+v\ntree: %+v",
-							i, in, vmSnaps[i], want)
+					if cSnaps[i] != want {
+						t.Errorf("request %d (%x): recycled compiled engine diverges from fresh tree\ncompiled: %+v\ntree:     %+v",
+							i, in, cSnaps[i], want)
 					}
 				}
 			})
@@ -85,7 +85,7 @@ func TestFleetVMBitIdenticalAcrossReset(t *testing.T) {
 }
 
 // TestFleetVMReusedInstanceAcrossReset pins the inline-cache
-// invalidation contract: ONE VM instance kept alive across
+// invalidation contract: ONE compiled-engine instance kept alive across
 // Context.Reset must observe the rebuilt patch table (the defender
 // bumps its generation on Reset) and still produce bit-identical
 // snapshots to fresh tree-interpreter contexts. A stale verdict cache
@@ -100,18 +100,18 @@ func TestFleetVMReusedInstanceAcrossReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm, err := prog.NewExec(p, prog.Config{Backend: ctx.Backend(), Coder: coder, Engine: prog.EngineVM})
+	ex, err := prog.NewExec(p, prog.Config{Backend: ctx.Backend(), Coder: coder, Engine: prog.EngineCompiled})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := [][]byte{{0x00}, {0xEE}, {0x00}, {0xEE}, {0xEE}}
-	var vmSnaps []snapshot
+	var cSnaps []snapshot
 	for _, in := range inputs {
-		res, err := vm.Run(in)
+		res, err := ex.Run(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vmSnaps = append(vmSnaps, snap(t, res, ctx.Defender()))
+		cSnaps = append(cSnaps, snap(t, res, ctx.Defender()))
 		if err := ctx.Reset(); err != nil {
 			t.Fatal(err)
 		}
@@ -124,19 +124,18 @@ func TestFleetVMReusedInstanceAcrossReset(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := runOn(t, fresh, p, coder, in)
-		if vmSnaps[i] != want {
-			t.Errorf("request %d: reused VM across Reset diverges from fresh tree\nvm:   %+v\ntree: %+v",
-				i, vmSnaps[i], want)
+		if cSnaps[i] != want {
+			t.Errorf("request %d: reused compiled engine across Reset diverges from fresh tree\ncompiled: %+v\ntree:     %+v",
+				i, cSnaps[i], want)
 		}
 	}
 }
 
 // TestFleetServeEngines: full parallel Serve must return the same
-// per-request results and merged fleet statistics under all three
-// engines. The compiled serve uses a tier-up threshold in the middle
-// of the per-worker request count, so workers promote functions while
-// the corpus is in flight and later requests run on closure code the
-// earlier ones compiled — through the shared fleet-wide cache.
+// per-request results and merged fleet statistics under both engines.
+// Compiled-engine workers share one Compiled, so whichever worker calls
+// a function first lowers it while the others may be mid-request, and
+// later requests run on code another worker lowered.
 func TestFleetServeEngines(t *testing.T) {
 	p := uafProgram()
 	coder, patches := analyzeUAF(t, p)
@@ -149,39 +148,28 @@ func TestFleetServeEngines(t *testing.T) {
 			inputs[i] = []byte{0x00}
 		}
 	}
-	serve := func(engine prog.Engine, tierUp uint64) ([]*prog.Result, Stats) {
-		f := New(Config{Workers: 4, Defended: true, Patches: patches, Engine: engine, TierUp: tierUp})
+	serve := func(engine prog.Engine) ([]*prog.Result, Stats) {
+		f := New(Config{Workers: 4, Defended: true, Patches: patches, Engine: engine})
 		res, err := f.Serve(p, coder, inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, f.Stats()
 	}
-	tres, tstats := serve(prog.EngineTree, 0)
-	for _, c := range []struct {
-		name   string
-		engine prog.Engine
-		tierUp uint64
-	}{
-		{"vm", prog.EngineVM, 0},
-		{"compiled-mid-corpus", prog.EngineCompiled, 3},
-		{"compiled-immediate", prog.EngineCompiled, 1},
-	} {
-		vres, vstats := serve(c.engine, c.tierUp)
-		for i := range tres {
-			if !bytes.Equal(tres[i].Output, vres[i].Output) ||
-				tres[i].Steps != vres[i].Steps ||
-				tres[i].Cycles != vres[i].Cycles ||
-				tres[i].Crashed() != vres[i].Crashed() {
-				t.Errorf("request %d diverges across engines\ntree: %+v\n%s:   %+v", i, tres[i], c.name, vres[i])
-			}
+	tres, tstats := serve(prog.EngineTree)
+	cres, cstats := serve(prog.EngineCompiled)
+	for i := range tres {
+		if !bytes.Equal(tres[i].Output, cres[i].Output) ||
+			tres[i].Steps != cres[i].Steps ||
+			tres[i].Cycles != cres[i].Cycles ||
+			tres[i].Crashed() != cres[i].Crashed() {
+			t.Errorf("request %d diverges across engines\ntree:     %+v\ncompiled: %+v", i, tres[i], cres[i])
 		}
-		// ContextsBuilt depends on pool behavior, not the engine
-		// contract; everything else must match exactly.
-		ts, vs := tstats, vstats
-		ts.ContextsBuilt, vs.ContextsBuilt = 0, 0
-		if !reflect.DeepEqual(ts, vs) {
-			t.Errorf("fleet stats diverge\ntree: %+v\n%s:   %+v", ts, c.name, vs)
-		}
+	}
+	// ContextsBuilt depends on pool behavior, not the engine contract;
+	// everything else must match exactly.
+	tstats.ContextsBuilt, cstats.ContextsBuilt = 0, 0
+	if !reflect.DeepEqual(tstats, cstats) {
+		t.Errorf("fleet stats diverge\ntree:     %+v\ncompiled: %+v", tstats, cstats)
 	}
 }

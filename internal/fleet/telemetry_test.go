@@ -89,13 +89,13 @@ func TestFleetTelemetryMerge(t *testing.T) {
 	}
 }
 
-// TestFleetTelemetryEngineParity pins the promotion-transparency
-// contract at the observability layer: the exact same defended corpus,
-// served single-worker so the event stream is deterministic, must
-// produce identical telemetry — counter totals, sealed-table patch-hit
+// TestFleetTelemetryEngineParity pins the engine-transparency contract
+// at the observability layer: the exact same defended corpus, served
+// single-worker so the event stream is deterministic, must produce
+// identical telemetry — counter totals, sealed-table patch-hit
 // tallies, and the full retained event trace, sequence numbers
-// included — whether requests execute on the tree interpreter, the
-// bytecode VM, or the tier-up machine promoting functions mid-corpus.
+// included — whether requests execute on the tree interpreter or the
+// compiled engine.
 // A compiled closure that skipped an allocator event, double-counted a
 // patch hit, or reordered the trace would diverge here.
 func TestFleetTelemetryEngineParity(t *testing.T) {
@@ -109,40 +109,29 @@ func TestFleetTelemetryEngineParity(t *testing.T) {
 			inputs[i] = []byte{0x00}
 		}
 	}
-	serve := func(engine prog.Engine, tierUp uint64) (*telemetry.Snapshot, Stats) {
+	serve := func(engine prog.Engine) (*telemetry.Snapshot, Stats) {
 		col := telemetry.New(telemetry.Config{})
 		f := New(Config{Workers: 1, Defended: true, Patches: patches,
-			Engine: engine, TierUp: tierUp, Telemetry: col})
+			Engine: engine, Telemetry: col})
 		if _, err := f.Serve(p, coder, inputs); err != nil {
 			t.Fatal(err)
 		}
 		st := f.Stats()
 		return st.Telemetry, st
 	}
-	tsnap, tstats := serve(prog.EngineTree, 0)
-	for _, c := range []struct {
-		name   string
-		engine prog.Engine
-		tierUp uint64
-	}{
-		{"vm", prog.EngineVM, 0},
-		{"compiled-mid-corpus", prog.EngineCompiled, 3},
-	} {
-		snap, stats := serve(c.engine, c.tierUp)
-		if !reflect.DeepEqual(tsnap.Counters, snap.Counters) {
-			t.Errorf("%s: counters diverge\ntree: %v\n%s:   %v", c.name, tsnap.Counters, c.name, snap.Counters)
-		}
-		if tsnap.EventsTotal != snap.EventsTotal {
-			t.Errorf("%s: events_total %d != tree %d", c.name, snap.EventsTotal, tsnap.EventsTotal)
-		}
-		if !reflect.DeepEqual(tsnap.Events, snap.Events) {
-			t.Errorf("%s: event traces diverge (tree %d events, %s %d events)",
-				c.name, len(tsnap.Events), c.name, len(snap.Events))
-		}
-		if !reflect.DeepEqual(tstats.PatchHits, stats.PatchHits) {
-			t.Errorf("%s: sealed-table patch hits diverge\ntree: %v\n%s:   %v",
-				c.name, tstats.PatchHits, c.name, stats.PatchHits)
-		}
+	tsnap, tstats := serve(prog.EngineTree)
+	snap, stats := serve(prog.EngineCompiled)
+	if !reflect.DeepEqual(tsnap.Counters, snap.Counters) {
+		t.Errorf("counters diverge\ntree:     %v\ncompiled: %v", tsnap.Counters, snap.Counters)
+	}
+	if tsnap.EventsTotal != snap.EventsTotal {
+		t.Errorf("compiled events_total %d != tree %d", snap.EventsTotal, tsnap.EventsTotal)
+	}
+	if !reflect.DeepEqual(tsnap.Events, snap.Events) {
+		t.Errorf("event traces diverge (tree %d events, compiled %d events)", len(tsnap.Events), len(snap.Events))
+	}
+	if !reflect.DeepEqual(tstats.PatchHits, stats.PatchHits) {
+		t.Errorf("sealed-table patch hits diverge\ntree:     %v\ncompiled: %v", tstats.PatchHits, stats.PatchHits)
 	}
 }
 

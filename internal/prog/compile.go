@@ -1,7 +1,8 @@
 package prog
 
 // The bytecode compiler. Compile lowers a linked Program's AST once
-// into a flat instruction stream executed by the register VM (vm.go):
+// into a flat instruction stream, the IR that the compiled engine
+// (jit.go) lowers further to closure code per function:
 //
 //   - every function body becomes a contiguous run of fixed-size
 //     instructions in one shared []instr, with If/While lowered to
@@ -20,13 +21,15 @@ package prog
 //     encoding update precompiled (encoding.Coder.CompileSite), so no
 //     plan lookup happens at run time.
 //
-// The compiled form is immutable and goroutine-safe: one Compiled can
-// back any number of VMs (the fleet shares one across workers). All
-// mutable state lives in the VM.
+// The compiled form is immutable to its readers and goroutine-safe:
+// one Compiled can back any number of Machines (the fleet shares one
+// across workers). All mutable execution state lives in the Machine;
+// the only thing the Compiled fills in after Compile returns is its
+// closure cache, under its lock.
 //
-// Equivalence contract: for every program the VM must be bit-identical
-// to the tree-walker — outputs, Result fields, heap and defense
-// statistics, fault addresses, crash errors, and cycle counts — for
+// Equivalence contract: for every program the compiled engine must be
+// bit-identical to the tree-walker — outputs, Result fields, heap and
+// defense statistics, fault addresses, crash errors, and cycle counts — for
 // every run that produces a Result. The one sanctioned divergence is
 // invisible in results: expression operands are evaluated by discrete
 // instructions before a statement's superinstruction runs, so when a
@@ -41,13 +44,14 @@ package prog
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"heaptherapy/internal/callgraph"
 	"heaptherapy/internal/encoding"
 	"heaptherapy/internal/heapsim"
 )
 
-// opcode enumerates VM instructions.
+// opcode enumerates bytecode instructions.
 type opcode uint8
 
 const (
@@ -85,7 +89,7 @@ const (
 // opndNone marks an absent optional operand (e.g. a nil Off).
 const opndNone = int32(math.MinInt32)
 
-// instr is one fixed-size VM instruction. Operand slots a, b, c (and
+// instr is one fixed-size bytecode instruction. Operand slots a, b, c (and
 // dst where noted) address the register file when >= 0 and the
 // constant pool as ^v when negative; opndNone means absent. aux is
 // opcode-specific: a jump target, a record index, or a pool index.
@@ -139,9 +143,10 @@ type allocRec struct {
 	realloc bool
 }
 
-// Compiled is an immutable compiled program: share one across any
-// number of VMs (and goroutines — nothing here is written after
-// Compile returns).
+// Compiled is a compiled program: share one across any number of
+// Machines and goroutines. Everything Compile produces is immutable;
+// the closure code lowered from it fills in lazily, per backend shape
+// and function, under mu.
 type Compiled struct {
 	p     *Program
 	coder *encoding.Coder
@@ -158,13 +163,16 @@ type Compiled struct {
 
 	icCount   int32
 	encCycles uint64 // cost of one coder-driven encoding update
+
+	mu      sync.Mutex
+	byShape map[closShape][][]closStep // see closures (jit.go)
 }
 
 // Program returns the source program.
 func (c *Compiled) Program() *Program { return c.p }
 
 // Coder returns the coder the program was compiled against (may be
-// nil); a VM over this Compiled must be configured with the same one.
+// nil); a Machine over this Compiled must be configured with the same one.
 func (c *Compiled) Coder() *encoding.Coder { return c.coder }
 
 // NumInstrs returns the flat instruction count (for tests and stats).
@@ -801,7 +809,7 @@ func (c *compiler) compileStmtInner(s Stmt) error {
 }
 
 // addr compiles the Base+Off operand pair shared by every addressed
-// statement; a nil Off compiles to opndNone so the VM issues exactly
+// statement; a nil Off compiles to opndNone so the engine issues exactly
 // one use-point check, like the tree-walker's evalAddr.
 func (c *compiler) addr(oc *opnds, base, off Expr) (int32, int32, error) {
 	b, err := oc.operand(base)

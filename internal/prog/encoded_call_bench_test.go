@@ -133,26 +133,6 @@ func BenchmarkEncodedCall(b *testing.B) {
 			}
 		}
 	})
-	b.Run("vm", func(b *testing.B) {
-		p := encodedCallProgram(iters)
-		coder := encodedCallCoder(b, p)
-		c, err := Compile(p, coder)
-		if err != nil {
-			b.Fatal(err)
-		}
-		vm, err := NewVM(c, Config{Backend: encodedCallBackend(b), Coder: coder})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var res Result
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := vm.RunReuse(&res, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("compiled", func(b *testing.B) {
 		p := encodedCallProgram(iters)
 		coder := encodedCallCoder(b, p)
@@ -160,13 +140,13 @@ func BenchmarkEncodedCall(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := NewMachine(c, Config{Backend: encodedCallBackend(b), Coder: coder, TierUp: 1})
+		m, err := NewMachine(c, Config{Backend: encodedCallBackend(b), Coder: coder})
 		if err != nil {
 			b.Fatal(err)
 		}
 		var res Result
-		// Promote every function before the timer starts so the loop
-		// measures the steady-state closure tier, not compilation.
+		// Lower every function before the timer starts so the loop
+		// measures steady-state closure code, not compilation.
 		if err := m.RunReuse(&res, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -184,7 +164,7 @@ func BenchmarkEncodedCall(b *testing.B) {
 // path (see encodedCallDenseProgram): every call site pays a
 // SiteUpdate, the allocator stays cold, and the spread between the
 // engines is pure interpretation overhead. This is the workload the
-// tier-up engine is built for.
+// compiled engine is built for.
 func BenchmarkEncodedCallDense(b *testing.B) {
 	const iters = 512
 	p := encodedCallDenseProgram(iters)
@@ -202,32 +182,13 @@ func BenchmarkEncodedCallDense(b *testing.B) {
 			}
 		}
 	})
-	b.Run("vm", func(b *testing.B) {
-		coder := encodedCallCoder(b, p)
-		c, err := Compile(p, coder)
-		if err != nil {
-			b.Fatal(err)
-		}
-		vm, err := NewVM(c, Config{Backend: encodedCallBackend(b), Coder: coder})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var res Result
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := vm.RunReuse(&res, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("compiled", func(b *testing.B) {
 		coder := encodedCallCoder(b, p)
 		c, err := Compile(p, coder)
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := NewMachine(c, Config{Backend: encodedCallBackend(b), Coder: coder, TierUp: 1})
+		m, err := NewMachine(c, Config{Backend: encodedCallBackend(b), Coder: coder})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,41 +235,11 @@ func TestEncodedCallTreeAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestEncodedCallVMZeroAlloc pins the VM's encoded-call path at zero:
-// steady-state RunReuse of the instrumented program must not allocate
-// at all.
-func TestEncodedCallVMZeroAlloc(t *testing.T) {
-	p := encodedCallProgram(512)
-	coder := encodedCallCoder(t, p)
-	c, err := Compile(p, coder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := NewVM(c, Config{Backend: encodedCallBackend(t), Coder: coder})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res Result
-	if err := vm.RunReuse(&res, nil); err != nil {
-		t.Fatal(err)
-	}
-	if res.Crashed() {
-		t.Fatalf("warmup crashed: %v", res.Fault)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := vm.RunReuse(&res, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state encoded RunReuse allocates %.1f objects/run, want 0", allocs)
-	}
-}
-
-// TestEncodedCallMachineZeroAlloc extends the zero-allocation pin to
-// the tier-up engine: once every function is promoted, the compiled
-// tier's encoded-call path — baked SiteUpdate arithmetic, closure
-// dispatch, frame recycle, alloc/free — must not allocate either.
+// TestEncodedCallMachineZeroAlloc pins the compiled engine's
+// encoded-call path at zero: once every function is lowered, the
+// steady-state RunReuse of the instrumented program — baked SiteUpdate
+// arithmetic, closure dispatch, frame recycle, alloc/free — must not
+// allocate at all.
 func TestEncodedCallMachineZeroAlloc(t *testing.T) {
 	p := encodedCallProgram(512)
 	coder := encodedCallCoder(t, p)
@@ -316,7 +247,7 @@ func TestEncodedCallMachineZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachine(c, Config{Backend: encodedCallBackend(t), Coder: coder, TierUp: 1})
+	m, err := NewMachine(c, Config{Backend: encodedCallBackend(t), Coder: coder})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,9 +257,6 @@ func TestEncodedCallMachineZeroAlloc(t *testing.T) {
 	}
 	if res.Crashed() {
 		t.Fatalf("warmup crashed: %v", res.Fault)
-	}
-	if m.Promotions() == 0 {
-		t.Fatal("warmup never promoted; pin would measure the cold tier")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if err := m.RunReuse(&res, nil); err != nil {

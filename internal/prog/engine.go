@@ -1,15 +1,16 @@
 package prog
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Engine selects the execution substrate for a linked program: the
-// reference tree-walking interpreter, the bytecode VM compiled from
-// the same AST, or the tier-up compiled engine that promotes hot
-// functions from bytecode to closure code at runtime. All three are
+// reference tree-walking interpreter or the compiled engine, which
+// lowers each function to closure code at its first call. The two are
 // differentially verified to be bit-identical (results, statistics,
 // crashes, cycle accounting); the tree-walker remains the semantic
-// reference, the VM the portable fast path, the compiled engine the
-// top tier.
+// reference.
 type Engine uint8
 
 // Engines.
@@ -17,13 +18,9 @@ const (
 	// EngineTree is the reference tree-walking interpreter (the zero
 	// value, so existing configurations keep their behavior).
 	EngineTree Engine = iota
-	// EngineVM compiles the program once to flat bytecode and executes
-	// it on the register VM (see compile.go / vm.go).
-	EngineVM
-	// EngineCompiled executes the same bytecode on the tier-up
-	// Machine: functions start interpreted and are promoted to
-	// closure-threaded code once hot (see jit.go; Config.TierUp sets
-	// the promotion threshold).
+	// EngineCompiled compiles the program to bytecode and runs it on a
+	// Machine, which lowers each function to closure code at its first
+	// call (see compile.go / jit.go).
 	EngineCompiled
 )
 
@@ -31,8 +28,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineTree:
 		return "tree"
-	case EngineVM:
-		return "vm"
 	case EngineCompiled:
 		return "compiled"
 	default:
@@ -41,7 +36,7 @@ func (e Engine) String() string {
 }
 
 // AllEngines lists the engines, reference first.
-func AllEngines() []Engine { return []Engine{EngineTree, EngineVM, EngineCompiled} }
+func AllEngines() []Engine { return []Engine{EngineTree, EngineCompiled} }
 
 // ParseEngine parses an engine name (as printed by String).
 func ParseEngine(s string) (Engine, error) {
@@ -52,23 +47,12 @@ func ParseEngine(s string) (Engine, error) {
 		}
 		names = append(names, e.String())
 	}
-	return 0, fmt.Errorf("prog: unknown engine %q (valid: %s)", s, joinNames(names))
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
+	return 0, fmt.Errorf("prog: unknown engine %q (valid: %s)", s, strings.Join(names, ", "))
 }
 
 // Exec is the engine-independent execution interface: one program
 // instance bound to one backend, runnable many times. Both *Interp and
-// *VM implement it (and the unexported scheduling hook RunThreads
+// *Machine implement it (and the unexported scheduling hook RunThreads
 // needs), so every caller that holds an Exec works identically on
 // either engine.
 type Exec interface {
@@ -100,27 +84,55 @@ func SetQuantumHook(ex Exec, every uint64, fn func()) bool {
 	return true
 }
 
-// NewExec constructs an executor for p per cfg.Engine. EngineTree
-// yields the reference interpreter; EngineVM and EngineCompiled
-// compile p (once per call — share a Compiled via NewVM/NewMachine to
-// amortize across instances) and yield a VM or tier-up Machine.
-func NewExec(p *Program, cfg Config) (Exec, error) {
+// Prepare returns cfg completed with what every executor of p built
+// from it can share. Under EngineCompiled that is p's Compiled program
+// (compiled here unless cfg.Compiled already holds it), so executors
+// built by NewExec from the returned Config also share the closure
+// code each function is lowered to at its first call. Under the tree
+// engine cfg comes back unchanged. cfg.Backend is not consulted.
+func Prepare(p *Program, cfg Config) (Config, error) {
 	switch cfg.Engine {
 	case EngineTree:
-		return New(p, cfg)
-	case EngineVM:
-		c, err := Compile(p, cfg.Coder)
-		if err != nil {
-			return nil, err
-		}
-		return NewVM(c, cfg)
+		return cfg, nil
 	case EngineCompiled:
-		c, err := Compile(p, cfg.Coder)
+		if cfg.Compiled == nil {
+			c, err := Compile(p, cfg.Coder)
+			if err != nil {
+				return cfg, err
+			}
+			cfg.Compiled = c
+		} else if cfg.Compiled.p != p {
+			return cfg, fmt.Errorf("prog %s: Config.Compiled was compiled from program %s", p.Name, cfg.Compiled.p.Name)
+		}
+		return cfg, nil
+	default:
+		return cfg, fmt.Errorf("prog: unknown engine %v", cfg.Engine)
+	}
+}
+
+// NewExec constructs an executor for p per cfg.Engine: the reference
+// interpreter under EngineTree, a Machine under EngineCompiled. Pass a
+// Config from Prepare to share one Compiled across executors;
+// otherwise each call compiles p afresh.
+func NewExec(p *Program, cfg Config) (Exec, error) {
+	return newRunner(p, cfg)
+}
+
+func newRunner(p *Program, cfg Config) (runner, error) {
+	cfg, err := Prepare(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Engine == EngineCompiled {
+		m, err := NewMachine(cfg.Compiled, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return NewMachine(c, cfg)
-	default:
-		return nil, fmt.Errorf("prog: unknown engine %v", cfg.Engine)
+		return m, nil
 	}
+	it, err := New(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return it, nil
 }

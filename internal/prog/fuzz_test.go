@@ -2,8 +2,8 @@ package prog_test
 
 // FuzzVMvsTree is the randomized arm of the differential suite: any
 // program the textual front end accepts must behave bit-identically on
-// the bytecode VM and the tree-walking interpreter, for any input
-// bytes. Seeds cover the Table II corpus (via progtext.Print) plus
+// the compiled engine's register machine and the tree-walking
+// interpreter, for any input bytes. Seeds cover the Table II corpus (via progtext.Print) plus
 // hand-written sources that hit the compiler's trickier lowerings
 // (operand check ordering, while-in-while, calls in conditions' arms,
 // explicit-CCID allocations). `go test` replays the seeds;
@@ -70,26 +70,14 @@ func FuzzVMvsTree(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Compile accepted-by-parser program: %v", err)
 		}
-		vcfg := base
-		vcfg.Backend = mkBackend()
-		vm, err := prog.NewVM(compiled, vcfg)
-		if err != nil {
-			t.Fatalf("NewVM: %v", err)
-		}
-		// Tier-up threshold 1: the machine runs each input twice below,
-		// once mostly cold and once on closure code, so any fuzz-found
-		// divergence between the tiers also fails here.
 		mcfg := base
 		mcfg.Backend = mkBackend()
-		mcfg.TierUp = 1
 		mach, err := prog.NewMachine(compiled, mcfg)
 		if err != nil {
 			t.Fatalf("NewMachine: %v", err)
 		}
 
-		tr, terr := it.Run(input)
-		vr, verr := vm.Run(input)
-		check := func(engine string, vr *prog.Result, verr error) {
+		check := func(engine string, tr, vr *prog.Result, terr, verr error) {
 			if (terr != nil) != (verr != nil) {
 				t.Fatalf("engines disagree on error: tree %v %s %v\n--- src ---\n%s", terr, engine, verr, src)
 			}
@@ -114,15 +102,14 @@ func FuzzVMvsTree(f *testing.F) {
 				t.Fatalf("returned value diverges on %s\n--- src ---\n%s", engine, src)
 			}
 		}
-		check("vm", vr, verr)
-		// Round 1: mostly cold tier.
+		// Round 1 lowers each function the run reaches at its first call.
+		tr, terr := it.Run(input)
 		mr, merr := mach.Run(input)
-		check("compiled", mr, merr)
+		check("compiled", tr, mr, terr, merr)
 		// Round 2: replay the input on both engines' (identically
-		// evolved) heaps; with threshold 1 the machine now executes
-		// promoted closure code for every function it reached.
+		// evolved) heaps; the machine now runs already-lowered code.
 		tr, terr = it.Run(input)
 		mr, merr = mach.Run(input)
-		check("compiled", mr, merr)
+		check("compiled", tr, mr, terr, merr)
 	})
 }

@@ -1,17 +1,16 @@
 package prog
 
-// The tier-up compiled engine (EngineCompiled): the third execution
-// tier after the tree-walker and the bytecode VM. A Machine starts
-// every function on a cold tier that interprets the same flat
-// bytecode the VM executes, counts invocations per function, and —
-// once a function's call count reaches the tier-up threshold —
-// lowers that function's instruction range into a chain of Go
-// closures (threaded code) built once and cached. The closure code
-// bakes in everything that is static at closure-compile time:
+// The compiled engine (EngineCompiled). A Machine executes each
+// function as a chain of Go closures (threaded code) lowered from the
+// function's range of the flat bytecode that Compile produces. A
+// function is lowered at its first call and the closures are cached
+// in the Compiled program, so every Machine over one Compiled shares
+// them. The closure code bakes in everything that is static at
+// closure-compile time:
 //
 //   - operand kinds: register indexes and interned constants are
-//     resolved to direct accessors, so the per-instruction operand
-//     decode (sign check + constant-pool indirection) disappears;
+//     resolved to direct accessors, so no per-instruction operand
+//     decode (sign check + constant-pool indirection) remains;
 //   - encoding.SiteUpdate deltas: each instrumented call/alloc site's
 //     V-update becomes plain integer arithmetic (V = 3*t + c or
 //     V = t + c), exactly the instruction an instrumentation pass
@@ -22,7 +21,7 @@ package prog
 //   - superinstructions: a compare feeding a conditional branch, a
 //     binary op feeding the loop-latch jump, and chained binary-op
 //     pairs fuse into single closures, cutting dispatches on the
-//     loop-head path the VM pays every iteration.
+//     loop-head path.
 //
 // The step calling convention is deliberately thin: a step returns
 // only the next step index. Faults are rare, so instead of returning
@@ -30,30 +29,20 @@ package prog
 // the error in Machine.trap and returns the stepFault sentinel; the
 // driver unwraps it off the hot path.
 //
-// The generation-revalidated patch-verdict inline caches are carried
-// over from the VM design unchanged (noteAlloc / siteIC / SiteProfile
-// operate on the same per-machine cache slots from both tiers).
-//
 // Everything observable through Run is bit-identical to the
-// tree-walker and the VM — outputs, return values, faults, error text
-// and order, statistics, and cycle accounting — regardless of when
-// (or whether) promotion happens; the differential suites enforce it.
-// Closure code never captures the executing Machine, only immutable
-// Compiled data, so one ClosureCache is shared by any number of
-// Machines (fleet workers, interpreter threads) with the cache lock
-// taken only at promotion time, never on the execution hot path.
+// tree-walker — outputs, return values, faults, error text and order,
+// statistics, and cycle accounting; the differential suites enforce
+// it. Closure code never captures the executing Machine, only
+// immutable Compiled data, so any number of Machines (fleet workers,
+// interpreter threads) share it, with the Compiled program's lock
+// taken only when a Machine first calls a function, never on the
+// execution hot path.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 )
-
-// DefaultTierUp is the default promotion threshold: the number of
-// times a function executes on the cold (bytecode) tier before it is
-// compiled to closures.
-const DefaultTierUp = 2
 
 // closStep is one compiled step. It executes and returns the index of
 // the next step within the function, stepReturn when the function
@@ -69,66 +58,43 @@ const (
 )
 
 // closShape is the backend specialization key: closure code compiled
-// for one shape elides/bakes different backend interactions, so a
-// cache keeps one compiled body per (function, shape).
+// for one shape elides/bakes different backend interactions, so the
+// Compiled program keeps one body per (function, shape).
 type closShape struct {
 	checkUse bool
 	bulk     bool
 	prober   bool
 }
 
-// ClosureCache shares closure-compiled function bodies across every
-// Machine executing the same Compiled program. The cache lock is
-// taken only when a function is promoted (and at most once per
-// (function, backend shape)); executing compiled code never touches
-// it. Fleet workers and RunThreads groups share one cache so a
-// function promoted by one worker is free for all others.
-type ClosureCache struct {
-	c       *Compiled
-	mu      sync.Mutex
-	byShape map[closShape][][]closStep
-}
-
-// NewClosureCache creates an empty cache for c's functions. Machines
-// using it must execute the same Compiled (NewMachine validates).
-func NewClosureCache(c *Compiled) *ClosureCache {
-	return &ClosureCache{c: c}
-}
-
-// compiledFor returns (compiling on first demand) fn's closure code
-// specialized for the given backend shape.
-func (cc *ClosureCache) compiledFor(shape closShape, fnIdx int32) []closStep {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	fns := cc.byShape[shape]
+// closures returns (lowering on first demand) fn's closure code
+// specialized for the given backend shape. The lock is taken once per
+// (Machine, function): Machines keep the result in their own table.
+func (c *Compiled) closures(shape closShape, fnIdx int32) []closStep {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fns := c.byShape[shape]
 	if fns == nil {
-		if cc.byShape == nil {
-			cc.byShape = make(map[closShape][][]closStep)
+		if c.byShape == nil {
+			c.byShape = make(map[closShape][][]closStep)
 		}
-		fns = make([][]closStep, len(cc.c.funcs))
-		cc.byShape[shape] = fns
+		fns = make([][]closStep, len(c.funcs))
+		c.byShape[shape] = fns
 	}
 	if fns[fnIdx] == nil {
-		fc := &fnCompiler{c: cc.c, fn: fnIdx, shape: shape}
+		fc := &fnCompiler{c: c, fn: fnIdx, shape: shape}
 		fns[fnIdx] = fc.compile()
 	}
 	return fns[fnIdx]
 }
 
-// Machine is the tier-up engine: VM-identical state and semantics,
-// with per-function promotion from bytecode to closure code. Like the
-// VM it is single-goroutine; many Machines can share one Compiled and
-// one ClosureCache.
+// Machine is the compiled engine. Like *Interp it is single-goroutine;
+// unlike *Interp many Machines can share one Compiled.
 type Machine struct {
-	vm        VM
-	threshold uint64   // cold executions before a function tiers up
-	calls     []uint64 // per-function invocation counts (across runs)
-	code      [][]closStep
-	cache     *ClosureCache
-	shape     closShape
-	promos    uint64
-	retv      *Value // staging between a ret step and its driver
-	trap      error  // staging between a faulting step and its driver
+	vm    vmState
+	code  [][]closStep // this Machine's view of the shared closure code
+	shape closShape
+	retv  *Value // staging between a ret step and its driver
+	trap  error  // staging between a faulting step and its driver
 
 	// Unboxed scalar return staging: a compiled ret step whose value is
 	// a shadow-free 8-byte scalar stages it here (retScalar set, retv
@@ -147,46 +113,33 @@ type Machine struct {
 var _ Exec = (*Machine)(nil)
 var _ runner = (*Machine)(nil)
 
-// NewMachine binds a compiled program to a backend on the tier-up
-// engine. cfg.Coder must be the coder the program was compiled with;
-// cfg.TierUp sets the promotion threshold (0 = DefaultTierUp);
-// cfg.Closures optionally shares compiled closures with other
-// Machines over the same Compiled. cfg.Engine is ignored.
+// NewMachine binds a compiled program to a backend. cfg.Coder must be
+// the coder the program was compiled with; cfg.Engine and cfg.Compiled
+// are ignored (c is the program).
 func NewMachine(c *Compiled, cfg Config) (*Machine, error) {
-	vm, err := NewVM(c, cfg)
+	vm, err := newVMState(c, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Closures != nil && cfg.Closures.c != c {
-		return nil, errors.New("prog: Config.Closures cache was built for a different Compiled program")
-	}
 	m := &Machine{
-		vm:        *vm,
-		threshold: cfg.TierUp,
-		calls:     make([]uint64, len(c.funcs)),
-		code:      make([][]closStep, len(c.funcs)),
-		cache:     cfg.Closures,
+		vm:   vm,
+		code: make([][]closStep, len(c.funcs)),
+		shape: closShape{
+			checkUse: vm.checkUse,
+			bulk:     vm.bulk != nil,
+			prober:   vm.prober != nil,
+		},
+		tickSlowAt: vm.maxSteps,
 	}
-	if m.threshold == 0 {
-		m.threshold = DefaultTierUp
-	}
-	if m.cache == nil {
-		m.cache = NewClosureCache(c)
-	}
-	m.shape = closShape{
-		checkUse: m.vm.checkUse,
-		bulk:     m.vm.bulk != nil,
-		prober:   m.vm.prober != nil,
-	}
-	m.tickSlowAt = m.vm.maxSteps
 	return m, nil
 }
 
-// setSchedHook implements the runner contract (see RunThreads). Both
-// tiers check the hook at every statement tick, so quantum boundaries
-// are identical to the other engines.
+// setSchedHook implements the runner contract (see RunThreads). The
+// hook is checked at every statement tick, so quantum boundaries are
+// identical to the tree-walker's.
 func (m *Machine) setSchedHook(every uint64, fn func()) {
-	m.vm.setSchedHook(every, fn)
+	m.vm.yieldEvery = every
+	m.vm.yield = fn
 	if fn != nil {
 		m.tickSlowAt = 0
 	} else {
@@ -194,20 +147,14 @@ func (m *Machine) setSchedHook(every uint64, fn func()) {
 	}
 }
 
-// SiteProfile reports the per-allocation-site profile; both tiers
-// feed the same verdict inline caches, so the profile is independent
-// of when promotion happened.
+// SiteProfile reports the per-allocation-site profile accumulated by
+// the verdict inline caches, in compile order. Sites only profile
+// patch verdicts when the backend implements PatchProber; allocation
+// counts accumulate regardless.
 func (m *Machine) SiteProfile() []SiteStats { return m.vm.SiteProfile() }
 
-// Promotions reports how many functions this Machine has tiered up to
-// closure code so far (monotonic across runs).
-func (m *Machine) Promotions() uint64 { return m.promos }
-
-// Threshold reports the effective tier-up threshold.
-func (m *Machine) Threshold() uint64 { return m.threshold }
-
 // Run executes the program on the given input; semantics are
-// identical to Interp.Run and VM.Run.
+// identical to Interp.Run.
 func (m *Machine) Run(input []byte) (*Result, error) {
 	res := &Result{}
 	if err := m.run(res, input); err != nil {
@@ -216,8 +163,12 @@ func (m *Machine) Run(input []byte) (*Result, error) {
 	return res, nil
 }
 
-// RunReuse is Run recycling res's buffers (see VM.RunReuse); the
-// steady-state compiled path allocates nothing.
+// RunReuse is Run recycling res's buffers (Output and Returned
+// capacity), so steady-state re-execution allocates nothing. On a
+// non-nil error (malformed program), res contents are unspecified,
+// mirroring Run's nil result. Data in res from a previous run is
+// overwritten; Returned's buffers are owned by the Machine and are
+// invalidated by the next run.
 func (m *Machine) RunReuse(res *Result, input []byte) error {
 	return m.run(res, input)
 }
@@ -245,7 +196,7 @@ func (m *Machine) run(res *Result, input []byte) error {
 	res.Returned = Value{}
 	startCycles := vm.backend.Cycles()
 
-	f := vm.pushFrame(0, 0, opndNone)
+	f := vm.pushFrame(0)
 	rv, err := m.invoke(0, f)
 	if err == nil {
 		if m.retScalar {
@@ -259,9 +210,9 @@ func (m *Machine) run(res *Result, input []byte) error {
 		}
 		vm.setReturned(res, rv)
 	}
-	// Both tiers count steps without charging the per-statement cycle
-	// cost (see mtick); settle it in one multiply so cycle totals match
-	// the other engines exactly.
+	// Steps are counted without charging the per-statement cycle cost
+	// (see mtick); settle it in one multiply so cycle totals match the
+	// tree-walker exactly.
 	vm.cycles += CycStmt * vm.steps
 	res.Output = vm.output
 	res.Steps = vm.steps
@@ -282,31 +233,15 @@ func (m *Machine) run(res *Result, input []byte) error {
 	return nil
 }
 
-// invoke runs one activation of funcs[fnIdx] in frame f, choosing the
-// tier: closure code if the function is promoted, promoting it first
-// if its call count just reached the threshold, else the cold
-// bytecode tier. The count increments per invocation, so "threshold
-// N" means N cold executions before the N+1st runs compiled.
+// invoke runs one activation of funcs[fnIdx] in frame f, lowering the
+// function to closure code on this Machine's first call to it.
 func (m *Machine) invoke(fnIdx int32, f *frameV) (*Value, error) {
 	steps := m.code[fnIdx]
 	if steps == nil {
-		if m.calls[fnIdx] < m.threshold {
-			m.calls[fnIdx]++
-			return m.interpFrame(fnIdx, f)
-		}
-		steps = m.promote(fnIdx)
+		steps = m.vm.c.closures(m.shape, fnIdx)
+		m.code[fnIdx] = steps
 	}
-	m.calls[fnIdx]++
 	return m.runSteps(steps, f)
-}
-
-// promote compiles (or fetches from the shared cache) fn's closure
-// code and installs it for all future invocations by this Machine.
-func (m *Machine) promote(fnIdx int32) []closStep {
-	steps := m.cache.compiledFor(m.shape, fnIdx)
-	m.code[fnIdx] = steps
-	m.promos++
-	return steps
 }
 
 // runSteps drives one activation through compiled closure code. The
@@ -328,12 +263,12 @@ func (m *Machine) runSteps(steps []closStep, f *frameV) (*Value, error) {
 	return nil, err
 }
 
-// mtick is the per-statement bookkeeping both tiers share: step
-// count, step limit, and the cooperative-scheduling hook. It reports
-// false — with the error staged in trap — when the step limit is hit.
-// Unlike the VM's tick block it does NOT charge CycStmt here; run()
-// charges CycStmt*steps once at the end, which is arithmetically
-// identical and keeps this prefix inside the inlining budget.
+// mtick is the per-statement bookkeeping: step count, step limit, and
+// the cooperative-scheduling hook. It reports false — with the error
+// staged in trap — when the step limit is hit. It does NOT charge
+// CycStmt here; run() charges CycStmt*steps once at the end, which is
+// arithmetically identical and keeps this prefix inside the inlining
+// budget.
 func (m *Machine) mtick() bool {
 	m.vm.steps++
 	if m.vm.steps > m.tickSlowAt {
@@ -363,425 +298,6 @@ func (m *Machine) mtickSlow() bool {
 func (m *Machine) stepLimit() bool {
 	m.trap = fmt.Errorf("prog %s: step limit %d exceeded", m.vm.c.p.Name, m.vm.maxSteps)
 	return false
-}
-
-// takeTrap consumes the staged fault for paths that report errors by
-// return value (the cold tier and invoke callers).
-func (m *Machine) takeTrap() error {
-	err := m.trap
-	m.trap = nil
-	return err
-}
-
-// callSite executes one call site from frame f — argument fetch
-// through return-value delivery — dispatching the callee through the
-// tier policy. The sequencing (arg errors, arity, depth, V update,
-// cycle charges, prologue cost, V restore) mirrors the VM's opCall +
-// opRet pair exactly.
-func (m *Machine) callSite(rec *callRec, f *frameV) error {
-	vm := &m.vm
-	callee := &vm.c.funcs[rec.fnIdx]
-	if cap(vm.args) < len(rec.args) {
-		vm.args = make([]*Value, len(rec.args))
-	}
-	args := vm.args[:len(rec.args)]
-	for i, o := range rec.args {
-		v, err := vm.rd(f, o)
-		if err != nil {
-			return err
-		}
-		args[i] = v
-	}
-	if len(args) != int(callee.nparams) {
-		return fmt.Errorf("prog %s: call to %s with %d args, want %d",
-			vm.c.p.Name, callee.name, len(args), int(callee.nparams))
-	}
-	if vm.nframes > vm.maxDepth {
-		return fmt.Errorf("prog %s: call depth limit %d exceeded", vm.c.p.Name, vm.maxDepth)
-	}
-	if rec.upd.Instrumented {
-		vm.v = rec.upd.Apply(f.t)
-		vm.encUpdates++
-		vm.cycles += vm.c.encCycles
-	}
-	vm.cycles += CycCall
-	nf := vm.pushFrame(rec.fnIdx, 0, 0)
-	for i := int32(0); i < callee.nparams; i++ {
-		nf.regs[i].set(args[i])
-	}
-	if callee.prologue {
-		vm.cycles += CycEncPrologue
-	}
-	rv, err := m.invoke(rec.fnIdx, nf)
-	if err != nil {
-		return err
-	}
-	vm.nframes--
-	// Restore discipline: V returns to the caller's context.
-	vm.v = f.t
-	if rec.dst != opndNone {
-		if m.retScalar {
-			m.retScalar = false
-			f.regs[rec.dst].setU(m.retU)
-		} else {
-			if rv == nil {
-				rv = &zeroValue
-			}
-			f.regs[rec.dst].set(rv)
-		}
-	} else {
-		m.retScalar = false
-	}
-	return nil
-}
-
-// interpFrame is the cold tier: one activation interpreted from the
-// flat bytecode. The dispatch is the VM's exec switch confined to a
-// single frame — calls recurse through invoke (where tier selection
-// happens) instead of threading frames through the flat loop, and
-// returns unwind to the caller activation.
-func (m *Machine) interpFrame(fnIdx int32, f *frameV) (*Value, error) {
-	vm := &m.vm
-	code := vm.c.code
-	pc := vm.c.funcs[fnIdx].entry
-	for {
-		ins := &code[pc]
-		if ins.tick {
-			if !m.mtick() {
-				return nil, m.takeTrap()
-			}
-		}
-		switch ins.op {
-		case opNop:
-			// Costs the base step only.
-
-		case opCheckVar:
-			if !f.regs[ins.a].def {
-				return nil, vm.undefVar(vm.c.funcs[f.fn].regNames[ins.a])
-			}
-
-		case opLoadK:
-			f.regs[ins.dst].setScalar(vm.c.constU[^ins.a])
-
-		case opMove:
-			src, err := vm.rd(f, ins.a)
-			if err != nil {
-				return nil, err
-			}
-			f.regs[ins.dst].set(src)
-
-		case opBin:
-			av, err := vm.rd(f, ins.a)
-			if err != nil {
-				return nil, err
-			}
-			bv, err := vm.rd(f, ins.b)
-			if err != nil {
-				return nil, err
-			}
-			r, err := binScalar(ins.bop, av.Uint(), bv.Uint())
-			if err != nil {
-				return nil, err
-			}
-			f.regs[ins.dst].setBin(r, av, bv)
-
-		case opInputLen:
-			f.regs[ins.dst].setScalar(uint64(len(vm.input)))
-
-		case opInputRem:
-			f.regs[ins.dst].setScalar(uint64(len(vm.input) - vm.inPos))
-
-		case opGlobalGet:
-			g := &vm.globals[ins.aux]
-			if g.def {
-				f.regs[ins.dst].set(&g.val)
-			} else {
-				f.regs[ins.dst].setScalar(0)
-			}
-
-		case opGlobalSet:
-			src, err := vm.rd(f, ins.a)
-			if err != nil {
-				return nil, err
-			}
-			vm.globals[ins.aux].set(src)
-
-		case opJump:
-			pc = ins.aux
-			continue
-
-		case opBr:
-			cv, err := vm.rd(f, ins.a)
-			if err != nil {
-				return nil, err
-			}
-			if vm.checkUse {
-				vm.backend.CheckUse(*cv, UseControlFlow, vm.v)
-			}
-			if cv.Uint() == 0 {
-				pc = ins.aux
-				continue
-			}
-
-		case opCall:
-			if err := m.callSite(&vm.c.calls[ins.aux], f); err != nil {
-				return nil, err
-			}
-
-		case opRet, opRetVoid:
-			if ins.op == opRet {
-				v, err := vm.rd(f, ins.a)
-				if err != nil {
-					return nil, err
-				}
-				return v, nil
-			}
-			return nil, nil
-
-		case opAlloc, opRealloc:
-			rec := &vm.c.allocs[ins.aux]
-			var ptrOp *Value
-			var err error
-			if ins.op == opRealloc {
-				if ptrOp, err = vm.rd(f, rec.ptr); err != nil {
-					return nil, err
-				}
-			}
-			size, err := vm.rd(f, rec.size)
-			if err != nil {
-				return nil, err
-			}
-			nv, err := vm.rd(f, rec.n)
-			if err != nil {
-				return nil, err
-			}
-			al, err := vm.rd(f, rec.align)
-			if err != nil {
-				return nil, err
-			}
-			ccid := vm.v
-			switch {
-			case rec.ccid != opndNone:
-				cv, err := vm.rd(f, rec.ccid)
-				if err != nil {
-					return nil, err
-				}
-				ccid = cv.Uint()
-				vm.encUpdates++
-				vm.cycles += CycEncUpdatePCC
-			case rec.upd.Instrumented:
-				ccid = rec.upd.Apply(f.t)
-				vm.encUpdates++
-				vm.cycles += vm.c.encCycles
-			}
-			vm.allocs++
-			vm.allocsByFn[rec.byFn]++
-			var ptr uint64
-			var aerr error
-			if ins.op == opRealloc {
-				ptr, aerr = vm.backend.Realloc(ccid, ptrOp.Uint(), size.Uint())
-			} else {
-				ptr, aerr = vm.backend.Alloc(rec.fn, ccid, nv.Uint(), size.Uint(), al.Uint())
-			}
-			if aerr != nil {
-				return nil, vm.crash(aerr)
-			}
-			f.regs[rec.dst].setScalar(ptr)
-			vm.ics[rec.ic].allocs++
-			if vm.prober != nil {
-				vm.noteAlloc(rec, ccid)
-			}
-
-		case opFree:
-			pv, err := vm.rd(f, ins.a)
-			if err != nil {
-				return nil, err
-			}
-			if vm.checkUse {
-				vm.backend.CheckUse(*pv, UseAddress, vm.v)
-			}
-			vm.frees++
-			if ferr := vm.backend.Free(pv.Uint(), vm.v); ferr != nil {
-				return nil, vm.crash(ferr)
-			}
-
-		case opLoad:
-			addr, err := vm.effAddr(f, ins.a, ins.b)
-			if err != nil {
-				return nil, err
-			}
-			nv, err := vm.rd(f, ins.c)
-			if err != nil {
-				return nil, err
-			}
-			r := &f.regs[ins.dst]
-			if vm.bulk != nil {
-				if lerr := vm.loadIntoReg(r, addr, nv.Uint()); lerr != nil {
-					return nil, vm.crash(lerr)
-				}
-			} else {
-				v, lerr := vm.backend.Load(addr, nv.Uint(), vm.v)
-				if lerr != nil {
-					return nil, vm.crash(lerr)
-				}
-				r.val = v
-				r.uok = false
-				r.def = true
-			}
-
-		case opStore:
-			addr, err := vm.effAddr(f, ins.a, ins.b)
-			if err != nil {
-				return nil, err
-			}
-			src, err := vm.rd(f, ins.c)
-			if err != nil {
-				return nil, err
-			}
-			n := uint64(8)
-			if ins.dst != opndNone {
-				nv, err := vm.rd(f, ins.dst)
-				if err != nil {
-					return nil, err
-				}
-				n = nv.Uint()
-				if n > 8 {
-					n = 8
-				}
-			}
-			if serr := vm.backend.Store(addr, src.View(0, int(n)), vm.v); serr != nil {
-				return nil, vm.crash(serr)
-			}
-
-		case opStoreVar:
-			addr, err := vm.effAddr(f, ins.a, ins.b)
-			if err != nil {
-				return nil, err
-			}
-			src, err := vm.rd(f, ins.c)
-			if err != nil {
-				return nil, err
-			}
-			if serr := vm.backend.Store(addr, *src, vm.v); serr != nil {
-				return nil, vm.crash(serr)
-			}
-
-		case opStoreBytes:
-			addr, err := vm.effAddr(f, ins.a, ins.b)
-			if err != nil {
-				return nil, err
-			}
-			if serr := vm.backend.Store(addr, vm.c.datas[ins.aux], vm.v); serr != nil {
-				return nil, vm.crash(serr)
-			}
-
-		case opMemcpy:
-			dst, err := vm.rd(f, ins.a)
-			if err != nil {
-				return nil, err
-			}
-			src, err := vm.rd(f, ins.b)
-			if err != nil {
-				return nil, err
-			}
-			nv, err := vm.rd(f, ins.c)
-			if err != nil {
-				return nil, err
-			}
-			if vm.checkUse {
-				vm.backend.CheckUse(*dst, UseAddress, vm.v)
-				vm.backend.CheckUse(*src, UseAddress, vm.v)
-			}
-			if merr := vm.backend.Memcpy(dst.Uint(), src.Uint(), nv.Uint(), vm.v); merr != nil {
-				return nil, vm.crash(merr)
-			}
-
-		case opMemset:
-			dst, err := vm.rd(f, ins.a)
-			if err != nil {
-				return nil, err
-			}
-			bv, err := vm.rd(f, ins.b)
-			if err != nil {
-				return nil, err
-			}
-			nv, err := vm.rd(f, ins.c)
-			if err != nil {
-				return nil, err
-			}
-			if vm.checkUse {
-				vm.backend.CheckUse(*dst, UseAddress, vm.v)
-			}
-			if merr := vm.backend.Memset(dst.Uint(), byte(bv.Uint()), nv.Uint(), vm.v); merr != nil {
-				return nil, vm.crash(merr)
-			}
-
-		case opReadInput:
-			nv, err := vm.rd(f, ins.a)
-			if err != nil {
-				return nil, err
-			}
-			// Clamp in uint64 space (see the tree-walker's ReadInput).
-			take := len(vm.input) - vm.inPos
-			if nu := nv.Uint(); nu < uint64(take) {
-				take = int(nu)
-			}
-			r := &f.regs[ins.dst]
-			if cap(r.val.Bytes) < take {
-				r.val.Bytes = make([]byte, take)
-			} else {
-				r.val.Bytes = r.val.Bytes[:take]
-			}
-			copy(r.val.Bytes, vm.input[vm.inPos:vm.inPos+take])
-			vm.inPos += take
-			r.val.Valid = nil
-			r.val.Origin = nil
-			r.uok = false
-			r.def = true
-
-		case opOutput:
-			addr, err := vm.effAddr(f, ins.a, ins.b)
-			if err != nil {
-				return nil, err
-			}
-			nv, err := vm.rd(f, ins.c)
-			if err != nil {
-				return nil, err
-			}
-			if vm.bulk != nil {
-				if lerr := vm.bulk.LoadInto(&vm.scratch, addr, nv.Uint(), vm.v); lerr != nil {
-					return nil, vm.crash(lerr)
-				}
-				if vm.checkUse {
-					vm.backend.CheckUse(vm.scratch, UseOutput, vm.v)
-				}
-				vm.output = append(vm.output, vm.scratch.Bytes...)
-				break
-			}
-			v, lerr := vm.backend.Load(addr, nv.Uint(), vm.v)
-			if lerr != nil {
-				return nil, vm.crash(lerr)
-			}
-			if vm.checkUse {
-				vm.backend.CheckUse(v, UseOutput, vm.v)
-			}
-			vm.output = append(vm.output, v.Bytes...)
-
-		case opOutputVar:
-			src, err := vm.rd(f, ins.c)
-			if err != nil {
-				return nil, err
-			}
-			if vm.checkUse {
-				vm.backend.CheckUse(*src, UseOutput, vm.v)
-			}
-			vm.output = append(vm.output, src.Bytes...)
-
-		default:
-			return nil, fmt.Errorf("prog %s: unknown opcode %d", vm.c.p.Name, ins.op)
-		}
-		pc++
-	}
 }
 
 // fetch resolves a baked operand reference: an interned constant (no
@@ -1581,8 +1097,8 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 		}
 
 	default:
-		// Unreachable for Compile-produced bytecode; preserve the VM's
-		// runtime error for hypothetical malformed streams.
+		// Unreachable for Compile-produced bytecode; report a runtime
+		// error for hypothetical malformed streams.
 		op := ins.op
 		return func(m *Machine, f *frameV) int32 {
 			if tick && !m.mtick() {
@@ -1595,8 +1111,8 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 }
 
 // buildAddr bakes an effective-address computation (base + optional
-// offset with use-point checks), mirroring VM.effAddr. false means a
-// fault is staged in trap.
+// offset with use-point checks), mirroring the tree-walker's evalAddr.
+// false means a fault is staged in trap.
 func (fc *fnCompiler) buildAddr(a, b int32) func(m *Machine, f *frameV) (uint64, bool) {
 	base := fc.ref(a)
 	if !fc.shape.checkUse {
@@ -1669,10 +1185,10 @@ func (fc *fnCompiler) buildAddr(a, b int32) func(m *Machine, f *frameV) (uint64,
 
 // buildCall bakes one call site: static arity, the SiteUpdate as
 // plain integer arithmetic, and the callee's prologue cost. The
-// callee dispatches through invoke, so tier-up applies per function
-// even in the middle of a caller's compiled activation. Arities up to
-// four stage arguments in a stack buffer instead of the VM's shared
-// slice.
+// callee dispatches through invoke, so it is lowered at its first
+// call even in the middle of a caller's activation. Arities up to
+// four stage arguments in a stack buffer instead of the machine's
+// shared slice.
 func (fc *fnCompiler) buildCall(ins *instr, tick bool, next int32) closStep {
 	c := fc.c
 	rec := &c.calls[ins.aux]
@@ -1753,7 +1269,7 @@ func (fc *fnCompiler) buildCall(ins *instr, tick bool, next int32) closStep {
 				vm.cycles += encCyc
 			}
 			vm.cycles += CycCall
-			nf := vm.pushFrame(fnIdx, 0, 0)
+			nf := vm.pushFrame(fnIdx)
 			for i := 0; i < argN; i++ {
 				if vbuf[i] == nil {
 					nf.regs[i].setU(ubuf[i])
@@ -1823,7 +1339,7 @@ func (fc *fnCompiler) buildCall(ins *instr, tick bool, next int32) closStep {
 			vm.cycles += encCyc
 		}
 		vm.cycles += CycCall
-		nf := vm.pushFrame(fnIdx, 0, 0)
+		nf := vm.pushFrame(fnIdx)
 		for i := 0; i < argN; i++ {
 			nf.regs[i].set(args[i])
 		}
@@ -1857,8 +1373,8 @@ func (fc *fnCompiler) buildCall(ins *instr, tick bool, next int32) closStep {
 
 // buildAlloc bakes one allocation/realloc site: the SiteUpdate (or
 // explicit-CCID path) as integer arithmetic and the patch-verdict
-// probe per backend shape. The verdict inline cache (noteAlloc) is
-// shared with the cold tier.
+// probe per backend shape, feeding the verdict inline cache
+// (noteAlloc).
 func (fc *fnCompiler) buildAlloc(ins *instr, tick bool, next int32) closStep {
 	c := fc.c
 	rec := &c.allocs[ins.aux]
@@ -1891,8 +1407,8 @@ func (fc *fnCompiler) buildAlloc(ins *instr, tick bool, next int32) closStep {
 		vm := &m.vm
 		// Every operand here is consumed as an integer (the allocator
 		// interface takes uint64s), so the unboxed path applies even
-		// under CheckUse shapes: the VM performs no use-point check on
-		// allocation operands either.
+		// under CheckUse shapes: the tree-walker performs no use-point
+		// check on allocation operands either.
 		var ptrU uint64
 		if realloc {
 			u, ok := m.fetchUint(f, &ptrRef)

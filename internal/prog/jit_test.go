@@ -1,22 +1,19 @@
 package prog
 
-// Tier-up engine specifics beyond the shared differential sweeps in
-// vm_test.go: promotion timing (mid-run, mid-corpus), profile parity
-// between promoted and never-promoted machines, construction/error
-// paths, closure-cache sharing, and the steady-state zero-allocation
-// pin for the compiled tier.
+// Compiled-engine specifics beyond the shared differential sweeps in
+// vm_test.go: construction/error paths, Prepare, and the
+// steady-state zero-allocation pin.
 
 import (
-	"bytes"
-	"sync"
+	"strings"
 	"testing"
 
-	"heaptherapy/internal/mem"
+	"heaptherapy/internal/encoding"
 )
 
-// hotProgram calls one helper repeatedly from a loop, so with a small
-// threshold the helper (and main) promote in the middle of a single
-// run while the loop is executing.
+// hotProgram calls one helper repeatedly from a loop, so the helper is
+// lowered to closure code at its first call in the middle of a run
+// while main's loop is executing.
 func hotProgram(iters uint64) *Program {
 	return MustLink(&Program{
 		Name: "hot",
@@ -42,118 +39,12 @@ func hotProgram(iters uint64) *Program {
 	})
 }
 
-// TestMachinePromotionMidRun: a function promoted in the middle of a
-// single run must leave every observable — result, statistics, and
-// the per-site allocation profile — identical to a machine that never
-// promotes and to the tree-walker.
-func TestMachinePromotionMidRun(t *testing.T) {
-	p := hotProgram(64)
-	c, err := Compile(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	it, err := New(p, Config{Backend: newNative(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot, err := NewMachine(c, Config{Backend: newNative(t), TierUp: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Threshold beyond any call count in this run: stays cold forever.
-	cold, err := NewMachine(c, Config{Backend: newNative(t), TierUp: 1 << 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tr, terr := it.Run(nil)
-	hr, herr := hot.Run(nil)
-	cr, cerr := cold.Run(nil)
-	assertSameRun(t, "hot-vs-tree", tr, hr, terr, herr)
-	assertSameRun(t, "cold-vs-tree", tr, cr, terr, cerr)
-
-	if hot.Promotions() == 0 {
-		t.Error("hot machine reported no promotions over a 64-iteration loop")
-	}
-	if cold.Promotions() != 0 {
-		t.Errorf("cold machine promoted %d functions below threshold", cold.Promotions())
-	}
-
-	hp, cp := hot.SiteProfile(), cold.SiteProfile()
-	if len(hp) != len(cp) {
-		t.Fatalf("site profile lengths differ: hot %d cold %d", len(hp), len(cp))
-	}
-	for i := range hp {
-		if hp[i] != cp[i] {
-			t.Errorf("site %d profile diverges: hot %+v cold %+v", i, hp[i], cp[i])
-		}
-	}
-}
-
-// TestMachineClosureCacheShared: machines sharing one ClosureCache
-// must produce identical runs, and a machine entering after another
-// already promoted (so it starts directly on cached closure code)
-// must be indistinguishable.
-func TestMachineClosureCacheShared(t *testing.T) {
-	p := hotProgram(32)
-	c, err := Compile(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewClosureCache(c)
-
-	first, err := NewMachine(c, Config{Backend: newNative(t), TierUp: 1, Closures: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := first.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			backend := newNativeNoT()
-			if backend == nil {
-				errs[g] = errStr("backend construction failed")
-				return
-			}
-			m, err := NewMachine(c, Config{Backend: backend, TierUp: 1, Closures: cache})
-			if err != nil {
-				errs[g] = err
-				return
-			}
-			for i := 0; i < 20; i++ {
-				res, err := m.Run(nil)
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				if !bytes.Equal(res.Output, want.Output) || res.Cycles != want.Cycles {
-					errs[g] = errStr("shared-cache machine diverged from reference run")
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Errorf("goroutine %d: %v", g, err)
-		}
-	}
-}
-
 // TestNewMachineValidation covers the construction error paths: nil
-// program, missing backend, coder mismatch, and a closure cache built
-// for a different Compiled.
+// program, missing backend, coder mismatch, an unlinked program, and a
+// Config.Compiled built from a different program.
 func TestNewMachineValidation(t *testing.T) {
-	p := hotProgram(4)
+	// diffProgHeap has allocation sites, so an encoding plan exists.
+	p := diffProgHeap()
 	c, err := Compile(p, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -164,51 +55,64 @@ func TestNewMachineValidation(t *testing.T) {
 	if _, err := NewMachine(c, Config{}); err == nil {
 		t.Error("NewMachine without backend succeeded")
 	}
-	other, err := Compile(hotProgram(5), nil)
+	plan, err := encoding.NewPlan(encoding.SchemeFCS, p.Graph(), p.Targets())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMachine(c, Config{Backend: newNative(t), Closures: NewClosureCache(other)}); err == nil {
-		t.Error("NewMachine with a cache for a different Compiled succeeded")
-	}
-	m, err := NewMachine(c, Config{Backend: newNative(t)})
+	coder, err := encoding.NewCoder(encoding.EncoderPCC, p.Graph(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Threshold() != DefaultTierUp {
-		t.Errorf("default threshold = %d, want DefaultTierUp (%d)", m.Threshold(), DefaultTierUp)
+	if _, err := NewMachine(c, Config{Backend: newNative(t), Coder: coder}); err == nil {
+		t.Error("NewMachine with mismatched coder succeeded")
+	}
+	if _, err := Compile(&Program{Name: "unlinked", Funcs: map[string]*Func{"main": {}}}, nil); err == nil {
+		t.Error("Compile of unlinked program succeeded")
+	}
+	other := hotProgram(5)
+	_, err = NewExec(other, Config{Backend: newNative(t), Engine: EngineCompiled, Compiled: c})
+	if err == nil || !strings.Contains(err.Error(), "Config.Compiled") {
+		t.Errorf("NewExec with another program's Compiled: err = %v", err)
 	}
 }
 
-// TestMachineRunThreadsDuringTierUp: spawning interpreter threads
-// whose functions tier up mid-schedule must match the tree engine
-// exactly — including when the thread count exceeds the threshold so
-// later threads start on closure code the earlier ones compiled.
-func TestMachineRunThreadsDuringTierUp(t *testing.T) {
-	p := hotProgram(8)
-	inputs := [][]byte{nil, nil, nil, nil, nil, nil}
-
-	run := func(engine Engine) ([]*Result, uint64) {
-		backend := newNative(t)
-		res, err := RunThreads(p, Config{Backend: backend, Engine: engine, TierUp: 2}, inputs, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, backend.Cycles()
+// TestPrepareSharesCompiled: Prepare compiles once under
+// EngineCompiled (and keeps a Compiled it is handed), leaves a tree
+// Config unchanged, and rejects an unknown engine.
+func TestPrepareSharesCompiled(t *testing.T) {
+	p := hotProgram(4)
+	cfg, err := Prepare(p, Config{Engine: EngineCompiled})
+	if err != nil {
+		t.Fatal(err)
 	}
-	tres, tcyc := run(EngineTree)
-	mres, mcyc := run(EngineCompiled)
-	for i := range tres {
-		assertSameRun(t, "tierup-thread", tres[i], mres[i], nil, nil)
+	if cfg.Compiled == nil || cfg.Compiled.Program() != p {
+		t.Fatalf("Prepare(compiled) left Compiled = %v", cfg.Compiled)
 	}
-	if tcyc != mcyc {
-		t.Errorf("shared backend cycles: tree %d compiled %d", tcyc, mcyc)
+	again, err := Prepare(p, cfg)
+	if err != nil || again.Compiled != cfg.Compiled {
+		t.Errorf("Prepare recompiled a prepared Config (err %v)", err)
+	}
+	cfg.Backend = newNative(t)
+	ex, err := NewExec(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := ex.(*Machine); !ok || m.vm.c != cfg.Compiled {
+		t.Errorf("NewExec(prepared) = %T, not a Machine over the prepared Compiled", ex)
+	}
+	tree, err := Prepare(p, Config{})
+	if err != nil || tree.Compiled != nil {
+		t.Errorf("Prepare(tree) = %+v, %v; want unchanged", tree, err)
+	}
+	if _, err := Prepare(p, Config{Engine: Engine(99)}); err == nil {
+		t.Error("Prepare with bogus engine succeeded")
 	}
 }
 
-// TestMachineSteadyStateZeroAlloc extends the VM's zero-allocation
-// pin to the compiled tier: once every function is promoted and the
-// buffer pools are warm, RunReuse on closure code allocates nothing.
+// TestMachineSteadyStateZeroAlloc pins the engine's zero-allocation
+// property: once every function is lowered and the buffer pools are
+// warm, RunReuse allocates nothing — registers, frames, output, and the
+// Result all recycle their buffers.
 func TestMachineSteadyStateZeroAlloc(t *testing.T) {
 	p := pinProgram(64)
 	backend := newNative(t)
@@ -218,13 +122,13 @@ func TestMachineSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachine(c, Config{Backend: backend, TierUp: 1})
+	m, err := NewMachine(c, Config{Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var res Result
-	// Warm the pools and drive every function past the threshold.
-	for i := 0; i < 3; i++ {
+	// Lower every function and warm the pools.
+	for i := 0; i < 2; i++ {
 		if err := m.RunReuse(&res, input); err != nil {
 			t.Fatal(err)
 		}
@@ -232,28 +136,12 @@ func TestMachineSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatalf("pin run crashed: %v", res.Fault)
 		}
 	}
-	if m.Promotions() == 0 {
-		t.Fatal("pin workload never promoted; allocation pin would measure the cold tier")
-	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if err := m.RunReuse(&res, input); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state compiled RunReuse allocates %.1f objects/run, want 0", allocs)
+		t.Errorf("steady-state RunReuse allocates %.1f objects/run, want 0", allocs)
 	}
-}
-
-// newNativeNoT is newNative for goroutines that must not call t.Fatal.
-func newNativeNoT() HeapBackend {
-	space, err := mem.NewSpace(mem.Config{})
-	if err != nil {
-		return nil
-	}
-	backend, err := NewNativeBackend(space)
-	if err != nil {
-		return nil
-	}
-	return backend
 }

@@ -43,41 +43,17 @@ func RunThreads(p *Program, cfg Config, inputs [][]byte, quantum uint64) ([]*Res
 
 	// Construct every executor before spawning any goroutine: if a
 	// construction fails mid-loop, no thread goroutine exists yet to be
-	// left blocked on a grant that will never come. Under EngineVM and
-	// EngineCompiled the program is compiled once and the immutable
-	// Compiled is shared by all threads (each VM/Machine holds only its
-	// own mutable state); compiled-engine threads additionally share
-	// one ClosureCache, so a function promoted by one thread is
-	// already compiled for the others.
-	var compiled *Compiled
-	newRunner := func() (runner, error) {
-		switch cfg.Engine {
-		case EngineTree:
-			return New(p, cfg)
-		case EngineVM:
-			if compiled == nil {
-				var err error
-				if compiled, err = Compile(p, cfg.Coder); err != nil {
-					return nil, err
-				}
-			}
-			return NewVM(compiled, cfg)
-		case EngineCompiled:
-			if compiled == nil {
-				var err error
-				if compiled, err = Compile(p, cfg.Coder); err != nil {
-					return nil, err
-				}
-				cfg.Closures = NewClosureCache(compiled)
-			}
-			return NewMachine(compiled, cfg)
-		default:
-			return nil, fmt.Errorf("prog: unknown engine %v", cfg.Engine)
-		}
+	// left blocked on a grant that will never come. Under
+	// EngineCompiled the program is compiled once and every thread's
+	// Machine shares it (and the closure code lowered from it), holding
+	// only its own mutable state.
+	cfg, err := Prepare(p, cfg)
+	if err != nil {
+		return nil, err
 	}
 	interps := make([]runner, n)
 	for i := 0; i < n; i++ {
-		it, err := newRunner()
+		it, err := newRunner(p, cfg)
 		if err != nil {
 			return nil, err
 		}

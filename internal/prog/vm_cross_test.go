@@ -1,7 +1,7 @@
 package prog_test
 
-// Cross-package differential verification of the bytecode VM against
-// the tree-walking interpreter over the analysis (shadow) and defense
+// Cross-package differential verification of the compiled engine
+// against the tree-walking interpreter over the analysis (shadow) and defense
 // backends, driven by the Table II vulnerability corpus. These live in
 // an external test package because shadow, defense, and vuln all
 // import prog. The in-package suite (vm_test.go) covers the native
@@ -22,35 +22,35 @@ import (
 )
 
 // sameRun requires two executions to be observationally identical.
-func sameRun(t *testing.T, label string, tr, vr *prog.Result, terr, verr error) {
+func sameRun(t *testing.T, label string, tr, mr *prog.Result, terr, merr error) {
 	t.Helper()
-	if (terr != nil) != (verr != nil) {
-		t.Fatalf("%s: tree err = %v, vm err = %v", label, terr, verr)
+	if (terr != nil) != (merr != nil) {
+		t.Fatalf("%s: tree err = %v, compiled err = %v", label, terr, merr)
 	}
 	if terr != nil {
-		if terr.Error() != verr.Error() {
-			t.Fatalf("%s: error mismatch\ntree: %v\nvm:   %v", label, terr, verr)
+		if terr.Error() != merr.Error() {
+			t.Fatalf("%s: error mismatch\ntree: %v\ncmp:  %v", label, terr, merr)
 		}
 		return
 	}
-	if !bytes.Equal(tr.Output, vr.Output) {
-		t.Errorf("%s: output mismatch\ntree: %x\nvm:   %x", label, tr.Output, vr.Output)
+	if !bytes.Equal(tr.Output, mr.Output) {
+		t.Errorf("%s: output mismatch\ntree: %x\ncmp:  %x", label, tr.Output, mr.Output)
 	}
-	if !bytes.Equal(tr.Returned.Bytes, vr.Returned.Bytes) ||
-		!bytes.Equal(tr.Returned.Valid, vr.Returned.Valid) ||
-		!reflect.DeepEqual(tr.Returned.Origin, vr.Returned.Origin) {
-		t.Errorf("%s: returned value mismatch\ntree: %+v\nvm:   %+v", label, tr.Returned, vr.Returned)
+	if !bytes.Equal(tr.Returned.Bytes, mr.Returned.Bytes) ||
+		!bytes.Equal(tr.Returned.Valid, mr.Returned.Valid) ||
+		!reflect.DeepEqual(tr.Returned.Origin, mr.Returned.Origin) {
+		t.Errorf("%s: returned value mismatch\ntree: %+v\ncmp:  %+v", label, tr.Returned, mr.Returned)
 	}
-	if (tr.Fault != nil) != (vr.Fault != nil) {
-		t.Fatalf("%s: fault mismatch: tree %v vm %v", label, tr.Fault, vr.Fault)
+	if (tr.Fault != nil) != (mr.Fault != nil) {
+		t.Fatalf("%s: fault mismatch: tree %v compiled %v", label, tr.Fault, mr.Fault)
 	}
-	if tr.Fault != nil && tr.Fault.Error() != vr.Fault.Error() {
-		t.Errorf("%s: fault text mismatch\ntree: %v\nvm:   %v", label, tr.Fault, vr.Fault)
+	if tr.Fault != nil && tr.Fault.Error() != mr.Fault.Error() {
+		t.Errorf("%s: fault text mismatch\ntree: %v\ncmp:  %v", label, tr.Fault, mr.Fault)
 	}
-	if tr.Steps != vr.Steps || tr.Cycles != vr.Cycles || tr.InterpCycles != vr.InterpCycles ||
-		tr.EncUpdates != vr.EncUpdates || tr.Allocs != vr.Allocs || tr.Frees != vr.Frees ||
-		tr.AllocsByFn != vr.AllocsByFn {
-		t.Errorf("%s: statistics mismatch\ntree: %+v\nvm:   %+v", label, tr, vr)
+	if tr.Steps != mr.Steps || tr.Cycles != mr.Cycles || tr.InterpCycles != mr.InterpCycles ||
+		tr.EncUpdates != mr.EncUpdates || tr.Allocs != mr.Allocs || tr.Frees != mr.Frees ||
+		tr.AllocsByFn != mr.AllocsByFn {
+		t.Errorf("%s: statistics mismatch\ntree: %+v\ncmp:  %+v", label, tr, mr)
 	}
 }
 
@@ -93,14 +93,12 @@ func newDefense(t *testing.T, patches *patch.Set) *defense.Backend {
 	return b
 }
 
-// TestVMDifferentialShadow: under the analysis backend all three
-// engines must record the exact same warning stream (type, addresses,
-// access and allocation CCIDs, detail text) for every corpus case, on
-// benign and attack inputs alike. The shadow backend observes
-// CheckUse, so this also proves neither the VM nor the compiled tier
-// elides use checks for it. The tier-up machine runs with a threshold
-// of 2, so functions promote in the middle of the input sequence and
-// later inputs execute closure code.
+// TestVMDifferentialShadow: under the analysis backend both engines
+// must record the exact same warning stream (type, addresses, access
+// and allocation CCIDs, detail text) for every corpus case, on benign
+// and attack inputs alike. The shadow backend observes CheckUse, so
+// this also proves the compiled engine does not elide use checks for
+// it.
 func TestVMDifferentialShadow(t *testing.T) {
 	for _, c := range vuln.Named() {
 		t.Run(c.Name, func(t *testing.T) {
@@ -116,31 +114,18 @@ func TestVMDifferentialShadow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vb := newShadow(t)
-			vm, err := prog.NewVM(compiled, prog.Config{Backend: vb, Coder: coder})
-			if err != nil {
-				t.Fatal(err)
-			}
 			mb := newShadow(t)
-			m, err := prog.NewMachine(compiled, prog.Config{Backend: mb, Coder: coder, TierUp: 2})
+			m, err := prog.NewMachine(compiled, prog.Config{Backend: mb, Coder: coder})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, in := range inputs {
 				tr, terr := it.Run(in)
-				vr, verr := vm.Run(in)
-				sameRun(t, c.Name, tr, vr, terr, verr)
 				mr, merr := m.Run(in)
-				sameRun(t, c.Name+"/compiled", tr, mr, terr, merr)
-			}
-			if tw, vw := tb.Warnings(), vb.Warnings(); !reflect.DeepEqual(tw, vw) {
-				t.Errorf("warning streams diverge\ntree: %v\nvm:   %v", tw, vw)
+				sameRun(t, c.Name, tr, mr, terr, merr)
 			}
 			if tw, mw := tb.Warnings(), mb.Warnings(); !reflect.DeepEqual(tw, mw) {
 				t.Errorf("warning streams diverge\ntree:     %v\ncompiled: %v", tw, mw)
-			}
-			if tc, vc := tb.Cycles(), vb.Cycles(); tc != vc {
-				t.Errorf("shadow cycles: tree %d vm %d", tc, vc)
 			}
 			if tc, mc := tb.Cycles(), mb.Cycles(); tc != mc {
 				t.Errorf("shadow cycles: tree %d compiled %d", tc, mc)
@@ -154,8 +139,8 @@ func TestVMDifferentialShadow(t *testing.T) {
 // into patches, then run benign and attack inputs on patched defense
 // backends and require identical results AND identical defense
 // statistics — Lookups, PatchedAllocs, GuardPages, ZeroFills,
-// DeferredFrees, evictions, all of it. Patched sites exercise the VM's
-// patch-verdict inline caches with hits on every generation-stable
+// DeferredFrees, evictions, all of it. Patched sites exercise the
+// compiled engine's patch-verdict inline caches with hits on every generation-stable
 // allocation.
 func TestVMDifferentialDefense(t *testing.T) {
 	var sawPatched bool
@@ -188,32 +173,19 @@ func TestVMDifferentialDefense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vb := newDefense(t, patches)
-			vm, err := prog.NewVM(compiled, prog.Config{Backend: vb, Coder: coder})
-			if err != nil {
-				t.Fatal(err)
-			}
 			mbk := newDefense(t, patches)
-			m, err := prog.NewMachine(compiled, prog.Config{Backend: mbk, Coder: coder, TierUp: 2})
+			m, err := prog.NewMachine(compiled, prog.Config{Backend: mbk, Coder: coder})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, in := range inputs {
 				tr, terr := tit.Run(in)
-				vr, verr := vm.Run(in)
-				sameRun(t, c.Name, tr, vr, terr, verr)
 				mr, merr := m.Run(in)
-				sameRun(t, c.Name+"/compiled", tr, mr, terr, merr)
+				sameRun(t, c.Name, tr, mr, terr, merr)
 			}
-			ts, vs := tb.Defender().Stats(), vb.Defender().Stats()
-			if ts != vs {
-				t.Errorf("defense stats diverge\ntree: %+v\nvm:   %+v", ts, vs)
-			}
-			if ms := mbk.Defender().Stats(); ts != ms {
+			ts, ms := tb.Defender().Stats(), mbk.Defender().Stats()
+			if ts != ms {
 				t.Errorf("defense stats diverge\ntree:     %+v\ncompiled: %+v", ts, ms)
-			}
-			if tc, vc := tb.Cycles(), vb.Cycles(); tc != vc {
-				t.Errorf("defense cycles: tree %d vm %d", tc, vc)
 			}
 			if tc, mc := tb.Cycles(), mbk.Cycles(); tc != mc {
 				t.Errorf("defense cycles: tree %d compiled %d", tc, mc)
@@ -222,23 +194,14 @@ func TestVMDifferentialDefense(t *testing.T) {
 				sawPatched = true
 			}
 
-			// The VM's verdict inline caches must agree with the
-			// defender's own alloc-time classification — and so must
-			// the compiled tier's, which shares the cache storage but
-			// bakes the lookup into closures.
+			// The verdict inline caches must agree with the defender's
+			// own alloc-time classification.
 			var icPatched uint64
-			for _, s := range vm.SiteProfile() {
+			for _, s := range m.SiteProfile() {
 				icPatched += s.PatchedAllocs
 			}
-			if icPatched != vs.PatchedAllocs {
-				t.Errorf("inline-cache patched count %d != defender PatchedAllocs %d", icPatched, vs.PatchedAllocs)
-			}
-			var mcPatched uint64
-			for _, s := range m.SiteProfile() {
-				mcPatched += s.PatchedAllocs
-			}
-			if want := mbk.Defender().Stats().PatchedAllocs; mcPatched != want {
-				t.Errorf("compiled inline-cache patched count %d != defender PatchedAllocs %d", mcPatched, want)
+			if icPatched != ms.PatchedAllocs {
+				t.Errorf("inline-cache patched count %d != defender PatchedAllocs %d", icPatched, ms.PatchedAllocs)
 			}
 		})
 	}

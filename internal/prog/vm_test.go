@@ -1,7 +1,8 @@
 package prog
 
-// Differential verification of the bytecode VM against the
-// tree-walking reference interpreter: every observable of Run —
+// Differential verification of the compiled engine (the register
+// machine, "VM" in the test names) against the tree-walking reference
+// interpreter: every observable of Run —
 // output, return value, fault, statistics, and both interpreter- and
 // backend-side cycle accounting — must be bit-identical, across
 // backends, encoding schemes and encoders, crash paths, and malformed
@@ -35,69 +36,67 @@ func newNative(t *testing.T) HeapBackend {
 }
 
 // assertSameRun compares one execution across the two engines.
-func assertSameRun(t *testing.T, label string, tr, vr *Result, terr, verr error) {
+func assertSameRun(t *testing.T, label string, tr, mr *Result, terr, merr error) {
 	t.Helper()
-	if (terr != nil) != (verr != nil) {
-		t.Fatalf("%s: tree err = %v, vm err = %v", label, terr, verr)
+	if (terr != nil) != (merr != nil) {
+		t.Fatalf("%s: tree err = %v, compiled err = %v", label, terr, merr)
 	}
 	if terr != nil {
-		if terr.Error() != verr.Error() {
-			t.Fatalf("%s: error mismatch\ntree: %v\nvm:   %v", label, terr, verr)
+		if terr.Error() != merr.Error() {
+			t.Fatalf("%s: error mismatch\ntree: %v\ncmp:  %v", label, terr, merr)
 		}
 		return
 	}
-	if !bytes.Equal(tr.Output, vr.Output) {
-		t.Errorf("%s: output mismatch\ntree: %x\nvm:   %x", label, tr.Output, vr.Output)
+	if !bytes.Equal(tr.Output, mr.Output) {
+		t.Errorf("%s: output mismatch\ntree: %x\ncmp:  %x", label, tr.Output, mr.Output)
 	}
-	if !bytes.Equal(tr.Returned.Bytes, vr.Returned.Bytes) {
-		t.Errorf("%s: returned bytes mismatch: tree %x vm %x", label, tr.Returned.Bytes, vr.Returned.Bytes)
+	if !bytes.Equal(tr.Returned.Bytes, mr.Returned.Bytes) {
+		t.Errorf("%s: returned bytes mismatch: tree %x compiled %x", label, tr.Returned.Bytes, mr.Returned.Bytes)
 	}
-	if !bytes.Equal(tr.Returned.Valid, vr.Returned.Valid) {
-		t.Errorf("%s: returned V-bits mismatch: tree %x vm %x", label, tr.Returned.Valid, vr.Returned.Valid)
+	if !bytes.Equal(tr.Returned.Valid, mr.Returned.Valid) {
+		t.Errorf("%s: returned V-bits mismatch: tree %x compiled %x", label, tr.Returned.Valid, mr.Returned.Valid)
 	}
-	if len(tr.Returned.Origin) != len(vr.Returned.Origin) {
-		t.Errorf("%s: returned origin mismatch: tree %v vm %v", label, tr.Returned.Origin, vr.Returned.Origin)
+	if len(tr.Returned.Origin) != len(mr.Returned.Origin) {
+		t.Errorf("%s: returned origin mismatch: tree %v compiled %v", label, tr.Returned.Origin, mr.Returned.Origin)
 	} else {
 		for i := range tr.Returned.Origin {
-			if tr.Returned.Origin[i] != vr.Returned.Origin[i] {
-				t.Errorf("%s: returned origin[%d]: tree %d vm %d", label, i, tr.Returned.Origin[i], vr.Returned.Origin[i])
+			if tr.Returned.Origin[i] != mr.Returned.Origin[i] {
+				t.Errorf("%s: returned origin[%d]: tree %d compiled %d", label, i, tr.Returned.Origin[i], mr.Returned.Origin[i])
 				break
 			}
 		}
 	}
-	if (tr.Fault != nil) != (vr.Fault != nil) {
-		t.Fatalf("%s: fault mismatch: tree %v vm %v", label, tr.Fault, vr.Fault)
+	if (tr.Fault != nil) != (mr.Fault != nil) {
+		t.Fatalf("%s: fault mismatch: tree %v compiled %v", label, tr.Fault, mr.Fault)
 	}
-	if tr.Fault != nil && tr.Fault.Error() != vr.Fault.Error() {
-		t.Errorf("%s: fault text mismatch\ntree: %v\nvm:   %v", label, tr.Fault, vr.Fault)
+	if tr.Fault != nil && tr.Fault.Error() != mr.Fault.Error() {
+		t.Errorf("%s: fault text mismatch\ntree: %v\ncmp:  %v", label, tr.Fault, mr.Fault)
 	}
-	if tr.Steps != vr.Steps {
-		t.Errorf("%s: steps: tree %d vm %d", label, tr.Steps, vr.Steps)
+	if tr.Steps != mr.Steps {
+		t.Errorf("%s: steps: tree %d compiled %d", label, tr.Steps, mr.Steps)
 	}
-	if tr.Cycles != vr.Cycles {
-		t.Errorf("%s: cycles: tree %d vm %d", label, tr.Cycles, vr.Cycles)
+	if tr.Cycles != mr.Cycles {
+		t.Errorf("%s: cycles: tree %d compiled %d", label, tr.Cycles, mr.Cycles)
 	}
-	if tr.InterpCycles != vr.InterpCycles {
-		t.Errorf("%s: interp cycles: tree %d vm %d", label, tr.InterpCycles, vr.InterpCycles)
+	if tr.InterpCycles != mr.InterpCycles {
+		t.Errorf("%s: interp cycles: tree %d compiled %d", label, tr.InterpCycles, mr.InterpCycles)
 	}
-	if tr.EncUpdates != vr.EncUpdates {
-		t.Errorf("%s: enc updates: tree %d vm %d", label, tr.EncUpdates, vr.EncUpdates)
+	if tr.EncUpdates != mr.EncUpdates {
+		t.Errorf("%s: enc updates: tree %d compiled %d", label, tr.EncUpdates, mr.EncUpdates)
 	}
-	if tr.Allocs != vr.Allocs || tr.Frees != vr.Frees {
-		t.Errorf("%s: allocs/frees: tree %d/%d vm %d/%d", label, tr.Allocs, tr.Frees, vr.Allocs, vr.Frees)
+	if tr.Allocs != mr.Allocs || tr.Frees != mr.Frees {
+		t.Errorf("%s: allocs/frees: tree %d/%d compiled %d/%d", label, tr.Allocs, tr.Frees, mr.Allocs, mr.Frees)
 	}
-	if tr.AllocsByFn != vr.AllocsByFn {
-		t.Errorf("%s: allocs by fn: tree %v vm %v", label, tr.AllocsByFn, vr.AllocsByFn)
+	if tr.AllocsByFn != mr.AllocsByFn {
+		t.Errorf("%s: allocs by fn: tree %v compiled %v", label, tr.AllocsByFn, mr.AllocsByFn)
 	}
 }
 
-// diffEngines runs the same input sequence through all three engines —
+// diffEngines runs the same input sequence through both engines —
 // each over its own backend from mk, so heap state evolves
 // independently but identically — and requires bit-identical
 // observables, including the backends' total cycle accounts after
-// every request. The tier-up Machine runs with threshold 1, so every
-// function crosses from the cold tier to closure code mid-corpus and
-// both tiers are differentially covered in one sweep.
+// every request.
 func diffEngines(t *testing.T, p *Program, coder *encoding.Coder, cfg Config, mk func(t *testing.T) HeapBackend, inputs [][]byte) {
 	t.Helper()
 	cfg.Coder = coder
@@ -113,16 +112,8 @@ func diffEngines(t *testing.T, p *Program, coder *encoding.Coder, cfg Config, mk
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	vcfg := cfg
-	vcfg.Backend = mk(t)
-	vm, err := NewVM(c, vcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	mcfg := cfg
 	mcfg.Backend = mk(t)
-	mcfg.TierUp = 1
 	mach, err := NewMachine(c, mcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -130,17 +121,12 @@ func diffEngines(t *testing.T, p *Program, coder *encoding.Coder, cfg Config, mk
 
 	for i, in := range inputs {
 		tr, terr := it.Run(in)
-		vr, verr := vm.Run(in)
 		mr, merr := mach.Run(in)
 		label := strings.TrimSpace(p.Name) + "#" + string(rune('0'+i))
-		assertSameRun(t, label, tr, vr, terr, verr)
-		assertSameRun(t, label+"/compiled", tr, mr, terr, merr)
-		if tc, vc, mc := tcfg.Backend.Cycles(), vcfg.Backend.Cycles(), mcfg.Backend.Cycles(); tc != vc || tc != mc {
-			t.Errorf("%s#%d: backend cycles diverge: tree %d vm %d compiled %d", p.Name, i, tc, vc, mc)
+		assertSameRun(t, label, tr, mr, terr, merr)
+		if tc, mc := tcfg.Backend.Cycles(), mcfg.Backend.Cycles(); tc != mc {
+			t.Errorf("%s#%d: backend cycles diverge: tree %d compiled %d", p.Name, i, tc, mc)
 		}
-	}
-	if len(inputs) > 1 && mach.Promotions() == 0 {
-		t.Errorf("%s: machine never tiered up over %d inputs (threshold 1)", p.Name, len(inputs))
 	}
 }
 
@@ -315,8 +301,8 @@ func TestVMDifferentialNative(t *testing.T) {
 // TestVMDifferentialEncoded runs the context-sensitive corpus programs
 // under every scheme x encoder combination and additionally requires
 // the allocation-time CCID streams to be identical (via a recording
-// wrapper that hides the bulk-loader, also covering the VM's
-// non-BulkLoader load path).
+// wrapper that hides the bulk-loader, also covering the compiled
+// engine's non-BulkLoader load path).
 func TestVMDifferentialEncoded(t *testing.T) {
 	for _, p := range []*Program{ccidProgram(), diffProgCalls(), diffProgHeap()} {
 		for _, scheme := range encoding.AllSchemes() {
@@ -336,21 +322,18 @@ func TestVMDifferentialEncoded(t *testing.T) {
 					return rb
 				}
 				diffEngines(t, p, coder, Config{}, mk, [][]byte{{3}, {0}, {7}})
-				if len(recs) != 3 {
-					t.Fatalf("expected 3 backends, got %d", len(recs))
+				if len(recs) != 2 {
+					t.Fatalf("expected 2 backends, got %d", len(recs))
 				}
-				tree := recs[0]
-				for ei, eng := range recs[1:] {
-					name := []string{"vm", "compiled"}[ei]
-					if len(tree.ccids) != len(eng.ccids) {
-						t.Fatalf("%s %v/%v: ccid stream lengths differ: tree %d %s %d",
-							p.Name, scheme, kind, len(tree.ccids), name, len(eng.ccids))
-					}
-					for i := range tree.ccids {
-						if tree.ccids[i] != eng.ccids[i] {
-							t.Errorf("%s %v/%v: ccid[%d]: tree %#x %s %#x",
-								p.Name, scheme, kind, i, tree.ccids[i], name, eng.ccids[i])
-						}
+				tree, eng := recs[0], recs[1]
+				if len(tree.ccids) != len(eng.ccids) {
+					t.Fatalf("%s %v/%v: ccid stream lengths differ: tree %d compiled %d",
+						p.Name, scheme, kind, len(tree.ccids), len(eng.ccids))
+				}
+				for i := range tree.ccids {
+					if tree.ccids[i] != eng.ccids[i] {
+						t.Errorf("%s %v/%v: ccid[%d]: tree %#x compiled %#x",
+							p.Name, scheme, kind, i, tree.ccids[i], eng.ccids[i])
 					}
 				}
 			}
@@ -410,9 +393,9 @@ func TestVMErrorsMatchTree(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Two identical runs: with the Machine's threshold of 1, the
-			// first hits each error on the cold tier and the second on
-			// closure code, so both tiers must reproduce the exact text.
+			// Two identical runs: the first lowers each function on its
+			// first call, the second runs the already-lowered code; both
+			// must reproduce the exact text.
 			diffEngines(t, tc.p, nil, tc.cfg, newNative, [][]byte{nil, nil})
 		})
 	}
@@ -437,31 +420,32 @@ func TestVMDifferentialThreads(t *testing.T) {
 
 	run := func(engine Engine) ([]*Result, uint64) {
 		backend := newNative(t)
-		// TierUp 1 makes compiled-engine threads promote functions while
-		// sibling threads are mid-quantum on the cold tier, over one
-		// shared ClosureCache (see RunThreads).
-		res, err := RunThreads(p, Config{Backend: backend, Coder: coder, Engine: engine, TierUp: 1}, inputs, 16)
+		// Compiled-engine threads share one Compiled, so a thread can
+		// lower a function while its siblings are mid-quantum in it, and
+		// later threads start on code the earlier ones lowered.
+		res, err := RunThreads(p, Config{Backend: backend, Coder: coder, Engine: engine}, inputs, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, backend.Cycles()
 	}
 	tres, tcyc := run(EngineTree)
-	vres, vcyc := run(EngineVM)
 	mres, mcyc := run(EngineCompiled)
 	for i := range tres {
-		assertSameRun(t, "thread", tres[i], vres[i], nil, nil)
-		assertSameRun(t, "thread/compiled", tres[i], mres[i], nil, nil)
+		assertSameRun(t, "thread", tres[i], mres[i], nil, nil)
 	}
-	if tcyc != vcyc || tcyc != mcyc {
-		t.Errorf("shared backend cycles: tree %d vm %d compiled %d", tcyc, vcyc, mcyc)
+	if tcyc != mcyc {
+		t.Errorf("shared backend cycles: tree %d compiled %d", tcyc, mcyc)
 	}
 }
 
 // TestCompiledSharedAcrossGoroutines: one Compiled program must be
-// safely shareable by concurrently-running VMs (each with its own
-// backend) — the fleet's layout. Run under -race this is the data-race
-// proof; in all modes it checks cross-VM result consistency.
+// safely shareable by concurrently-running Machines (each with its own
+// backend) — the fleet's layout — including the closure code they
+// lower from it at first call. A Machine entering after another
+// already lowered every function starts directly on the shared code.
+// Run under -race this is the data-race proof; in all modes it checks
+// cross-Machine result consistency.
 func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 	p := diffProgCalls()
 	c, err := Compile(p, nil)
@@ -475,6 +459,15 @@ func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 	want, err := ref.Run([]byte{5})
 	if err != nil {
 		t.Fatal(err)
+	}
+	first, err := NewMachine(c, Config{Backend: newNative(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := first.Run([]byte{5}); err != nil {
+		t.Fatal(err)
+	} else {
+		assertSameRun(t, "first", want, got, nil, nil)
 	}
 
 	var wg sync.WaitGroup
@@ -493,13 +486,13 @@ func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 				errs[g] = err
 				return
 			}
-			vm, err := NewVM(c, Config{Backend: backend})
+			m, err := NewMachine(c, Config{Backend: backend})
 			if err != nil {
 				errs[g] = err
 				return
 			}
 			for i := 0; i < 50; i++ {
-				res, err := vm.Run([]byte{5})
+				res, err := m.Run([]byte{5})
 				if err != nil {
 					errs[g] = err
 					return
@@ -526,7 +519,7 @@ func (e errStr) Error() string { return string(e) }
 // pinProgram is the interpreter-bound pin workload: it receives a heap
 // address through its input and hammers loads, stores, arithmetic,
 // calls, and output over it — no allocation statements, so the
-// measurement isolates the VM's own steady-state behavior.
+// measurement isolates the engine's own steady-state behavior.
 func pinProgram(iters uint64) *Program {
 	return MustLink(&Program{
 		Name: "pin",
@@ -579,40 +572,6 @@ func pinSetup(t *testing.T, backend HeapBackend) []byte {
 	return in
 }
 
-// TestVMSteadyStateZeroAlloc pins the tentpole property: once warm,
-// RunReuse allocates nothing — registers, frames, output, and the
-// Result all recycle their buffers.
-func TestVMSteadyStateZeroAlloc(t *testing.T) {
-	p := pinProgram(64)
-	backend := newNative(t)
-	input := pinSetup(t, backend)
-
-	c, err := Compile(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := NewVM(c, Config{Backend: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res Result
-	// Warm the buffer pools.
-	if err := vm.RunReuse(&res, input); err != nil {
-		t.Fatal(err)
-	}
-	if res.Crashed() {
-		t.Fatalf("pin run crashed: %v", res.Fault)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := vm.RunReuse(&res, input); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state RunReuse allocates %.1f objects/run, want 0", allocs)
-	}
-}
-
 // TestVMMatchesTreeOnPin: the pin workload is also differentially
 // checked (it drives the fused load/store path hard).
 func TestVMMatchesTreeOnPin(t *testing.T) {
@@ -632,7 +591,7 @@ func TestVMMatchesTreeOnPin(t *testing.T) {
 		return b
 	}
 	tb := mk(t)
-	vb := mk(t)
+	mb := mk(t)
 	it, err := New(p, Config{Backend: tb})
 	if err != nil {
 		t.Fatal(err)
@@ -641,13 +600,13 @@ func TestVMMatchesTreeOnPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm, err := NewVM(c, Config{Backend: vb})
+	m, err := NewMachine(c, Config{Backend: mb})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr, terr := it.Run(inputs[0])
-	vr, verr := vm.Run(inputs[0])
-	assertSameRun(t, "pin", tr, vr, terr, verr)
+	mr, merr := m.Run(inputs[0])
+	assertSameRun(t, "pin", tr, mr, terr, merr)
 }
 
 func TestParseEngine(t *testing.T) {
@@ -659,9 +618,12 @@ func TestParseEngine(t *testing.T) {
 	}
 	// The CLIs forward this error verbatim as their usage message, so
 	// it must list every valid spelling.
-	_, err := ParseEngine("jit")
-	if err == nil || !strings.Contains(err.Error(), "valid: tree, vm, compiled") {
-		t.Errorf("ParseEngine(jit) err = %v, want valid-name list", err)
+	// "vm" named the bytecode-interpreter engine, which no longer exists.
+	for _, name := range []string{"jit", "vm"} {
+		_, err := ParseEngine(name)
+		if err == nil || !strings.HasSuffix(err.Error(), "(valid: tree, compiled)") {
+			t.Errorf("ParseEngine(%s) err = %v, want valid-name list", name, err)
+		}
 	}
 }
 
@@ -681,35 +643,6 @@ func TestNewExecEngines(t *testing.T) {
 	}
 }
 
-func TestNewVMValidation(t *testing.T) {
-	// diffProgHeap has allocation sites, so an encoding plan exists.
-	p := diffProgHeap()
-	c, err := Compile(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewVM(nil, Config{Backend: newNative(t)}); err == nil {
-		t.Error("NewVM(nil) succeeded")
-	}
-	if _, err := NewVM(c, Config{}); err == nil {
-		t.Error("NewVM without backend succeeded")
-	}
-	plan, err := encoding.NewPlan(encoding.SchemeFCS, p.Graph(), p.Targets())
-	if err != nil {
-		t.Fatal(err)
-	}
-	coder, err := encoding.NewCoder(encoding.EncoderPCC, p.Graph(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewVM(c, Config{Backend: newNative(t), Coder: coder}); err == nil {
-		t.Error("NewVM with mismatched coder succeeded")
-	}
-	if _, err := Compile(&Program{Name: "unlinked", Funcs: map[string]*Func{"main": {}}}, nil); err == nil {
-		t.Error("Compile of unlinked program succeeded")
-	}
-}
-
 // TestVMSiteProfile: the verdict inline caches count allocations per
 // site; without a PatchProber backend, patched counts stay zero.
 func TestVMSiteProfile(t *testing.T) {
@@ -718,14 +651,14 @@ func TestVMSiteProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm, err := NewVM(c, Config{Backend: newNative(t)})
+	m, err := NewMachine(c, Config{Backend: newNative(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := vm.Run([]byte{2}); err != nil {
+	if _, err := m.Run([]byte{2}); err != nil {
 		t.Fatal(err)
 	}
-	prof := vm.SiteProfile()
+	prof := m.SiteProfile()
 	if len(prof) == 0 {
 		t.Fatal("no alloc sites profiled")
 	}

@@ -24,7 +24,7 @@ import (
 //
 // Run under -race this also proves the swap publication is clean.
 func TestLiveRolloutE2E(t *testing.T) {
-	for _, engine := range []prog.Engine{prog.EngineTree, prog.EngineVM} {
+	for _, engine := range prog.AllEngines() {
 		t.Run(engine.String(), func(t *testing.T) {
 			s, ts, svc := newNginxServer(t, func(c *Config) {
 				c.Workers = 4

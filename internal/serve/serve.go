@@ -77,10 +77,8 @@ type Config struct {
 	// Patches is the initial patch configuration (nil = none: the
 	// server starts unpatched and patches itself from live crashes).
 	Patches *patch.Set
-	// Engine selects the execution substrate (tree, vm, compiled).
+	// Engine selects the execution substrate (tree, compiled).
 	Engine prog.Engine
-	// TierUp is the compiled engine's promotion threshold.
-	TierUp uint64
 	// MaxSteps bounds each request's execution (0 = engine default).
 	MaxSteps uint64
 	// Space configures each tenant's address space.
@@ -236,7 +234,6 @@ func New(cfg Config) (*Server, error) {
 		Family:    cfg.Family,
 		Space:     cfg.Space,
 		Engine:    cfg.Engine,
-		TierUp:    cfg.TierUp,
 		Telemetry: cfg.Telemetry,
 	})
 
@@ -269,23 +266,12 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	// Compile once for the bytecode engines; every worker shares the
-	// immutable artifact (and, for the compiled engine, one closure
-	// cache — the fleet's one-reader-many-writers shape again).
-	var compiled *prog.Compiled
-	var closures *prog.ClosureCache
-	switch cfg.Engine {
-	case prog.EngineTree:
-	case prog.EngineVM, prog.EngineCompiled:
-		var err error
-		if compiled, err = prog.Compile(cfg.Program, coder); err != nil {
-			return nil, fmt.Errorf("serve: compiling program: %w", err)
-		}
-		if cfg.Engine == prog.EngineCompiled {
-			closures = prog.NewClosureCache(compiled)
-		}
-	default:
-		return nil, fmt.Errorf("serve: unknown engine %v", cfg.Engine)
+	// Under the compiled engine every worker shares one Compiled (and
+	// the closure code lowered from it) — the fleet's
+	// one-artifact-many-readers shape again.
+	pcfg, err := prog.Prepare(cfg.Program, prog.Config{Coder: coder, MaxSteps: cfg.MaxSteps, Engine: cfg.Engine})
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 
 	// Build every worker synchronously so New fails cleanly instead of
@@ -295,18 +281,8 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: tenant context: %w", err)
 		}
-		var it prog.Exec
-		pcfg := prog.Config{Backend: ctx.Backend(), Coder: coder, MaxSteps: cfg.MaxSteps}
-		switch {
-		case closures != nil:
-			pcfg.TierUp = cfg.TierUp
-			pcfg.Closures = closures
-			it, err = prog.NewMachine(compiled, pcfg)
-		case compiled != nil:
-			it, err = prog.NewVM(compiled, pcfg)
-		default:
-			it, err = prog.New(cfg.Program, pcfg)
-		}
+		pcfg.Backend = ctx.Backend()
+		it, err := prog.NewExec(cfg.Program, pcfg)
 		if err != nil {
 			return nil, fmt.Errorf("serve: executor: %w", err)
 		}

@@ -29,7 +29,7 @@ func TestHotSwapSoak(t *testing.T) {
 	s, ts, svc := newNginxServer(t, func(c *Config) {
 		c.Workers = 4
 		c.MaxInFlight = 256
-		c.Engine = prog.EngineVM
+		c.Engine = prog.EngineCompiled
 	})
 
 	// The rolled-out patch set is the real one: re-analysis of the
