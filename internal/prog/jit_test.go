@@ -1,14 +1,18 @@
 package prog
 
 // Compiled-engine specifics beyond the shared differential sweeps in
-// vm_test.go: construction/error paths, Prepare, and the
+// vm_test.go: construction/error paths, Prepare, closure code shared
+// through the Compiled, threads lowering mid-schedule, and the
 // steady-state zero-allocation pin.
 
 import (
+	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"heaptherapy/internal/encoding"
+	"heaptherapy/internal/mem"
 )
 
 // hotProgram calls one helper repeatedly from a loop, so the helper is
@@ -73,6 +77,116 @@ func TestNewMachineValidation(t *testing.T) {
 	_, err = NewExec(other, Config{Backend: newNative(t), Engine: EngineCompiled, Compiled: c})
 	if err == nil || !strings.Contains(err.Error(), "Config.Compiled") {
 		t.Errorf("NewExec with another program's Compiled: err = %v", err)
+	}
+}
+
+// TestMachineClosureCacheShared: the closure cache lives in the
+// Compiled, so a Machine entering after another already lowered every
+// function starts directly on that code (the same step slices, not a
+// second lowering), and machines sharing one Compiled concurrently
+// must produce identical runs.
+func TestMachineClosureCacheShared(t *testing.T) {
+	p := hotProgram(32)
+	c, err := Compile(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := NewMachine(c, Config{Backend: newNative(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := first.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, steps := range first.code {
+		if len(steps) == 0 {
+			t.Fatalf("function %d not lowered by a run that calls it", i)
+		}
+	}
+	second, err := NewMachine(c, Config{Backend: newNative(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.shape != first.shape {
+		t.Fatalf("same backend kind, different shapes: %+v vs %+v", first.shape, second.shape)
+	}
+	got, err := second.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRun(t, "second", want, got, nil, nil)
+	for i := range first.code {
+		if &second.code[i][0] != &first.code[i][0] {
+			t.Errorf("function %d lowered again instead of reusing the Compiled's code", i)
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			space, err := mem.NewSpace(mem.Config{})
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			backend, err := NewNativeBackend(space)
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			m, err := NewMachine(c, Config{Backend: backend})
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			for i := 0; i < 20; i++ {
+				res, err := m.Run(nil)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				if !bytes.Equal(res.Output, want.Output) || res.Cycles != want.Cycles {
+					errs[g] = errStr("shared-cache machine diverged from reference run")
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
+		}
+	}
+}
+
+// TestMachineRunThreadsDuringTierUp: spawning threads whose functions
+// are lowered mid-schedule (at first call, while sibling threads are
+// parked mid-quantum) must match the tree engine exactly — including
+// later threads that start on closure code the earlier ones lowered.
+func TestMachineRunThreadsDuringTierUp(t *testing.T) {
+	p := hotProgram(8)
+	inputs := [][]byte{nil, nil, nil, nil, nil, nil}
+
+	run := func(engine Engine) ([]*Result, uint64) {
+		backend := newNative(t)
+		res, err := RunThreads(p, Config{Backend: backend, Engine: engine}, inputs, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, backend.Cycles()
+	}
+	tres, tcyc := run(EngineTree)
+	mres, mcyc := run(EngineCompiled)
+	for i := range tres {
+		assertSameRun(t, "tierup-thread", tres[i], mres[i], nil, nil)
+	}
+	if tcyc != mcyc {
+		t.Errorf("shared backend cycles: tree %d compiled %d", tcyc, mcyc)
 	}
 }
 

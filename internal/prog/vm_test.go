@@ -609,6 +609,54 @@ func TestVMMatchesTreeOnPin(t *testing.T) {
 	assertSameRun(t, "pin", tr, mr, terr, merr)
 }
 
+// TestVMSteadyStateZeroAlloc: a Machine built the way the fleet
+// builds one — NewExec over a Prepared Config whose Compiled another
+// Machine has already lowered — allocates nothing per RunReuse once
+// its buffer pools are warm.
+func TestVMSteadyStateZeroAlloc(t *testing.T) {
+	p := pinProgram(64)
+	cfg, err := Prepare(p, Config{Engine: EngineCompiled})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	warmBackend := newNative(t)
+	warmInput := pinSetup(t, warmBackend)
+	warm, err := NewMachine(cfg.Compiled, Config{Backend: warmBackend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.RunReuse(&res, warmInput); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Backend = newNative(t)
+	input := pinSetup(t, cfg.Backend)
+	ex, err := NewExec(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ok := ex.(*Machine)
+	if !ok {
+		t.Fatalf("NewExec(compiled) = %T, want *Machine", ex)
+	}
+	// Warm the buffer pools.
+	if err := m.RunReuse(&res, input); err != nil {
+		t.Fatal(err)
+	}
+	if res.Crashed() {
+		t.Fatalf("pin run crashed: %v", res.Fault)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := m.RunReuse(&res, input); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state RunReuse allocates %.1f objects/run, want 0", allocs)
+	}
+}
+
 func TestParseEngine(t *testing.T) {
 	for _, e := range AllEngines() {
 		got, err := ParseEngine(e.String())
@@ -640,6 +688,38 @@ func TestNewExecEngines(t *testing.T) {
 	}
 	if _, err := NewExec(p, Config{Backend: newNative(t), Engine: Engine(99)}); err == nil {
 		t.Error("NewExec with bogus engine succeeded")
+	}
+}
+
+// TestNewVMValidation covers the construction error paths reached
+// through NewExec under EngineCompiled (the path every CLI, the fleet
+// and RunThreads take): missing backend, a Config.Compiled built for
+// another coder, and an unlinked program.
+func TestNewVMValidation(t *testing.T) {
+	// diffProgHeap has allocation sites, so an encoding plan exists.
+	p := diffProgHeap()
+	if _, err := NewExec(p, Config{Engine: EngineCompiled}); err == nil {
+		t.Error("NewExec(compiled) without backend succeeded")
+	}
+	plan, err := encoding.NewPlan(encoding.SchemeFCS, p.Graph(), p.Targets())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coder, err := encoding.NewCoder(encoding.EncoderPCC, p.Graph(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := Prepare(p, Config{Engine: EngineCompiled})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Backend, cfg.Coder = newNative(t), coder
+	if _, err := NewExec(p, cfg); err == nil {
+		t.Error("NewExec with a Compiled built for another coder succeeded")
+	}
+	unlinked := &Program{Name: "unlinked", Funcs: map[string]*Func{"main": {}}}
+	if _, err := NewExec(unlinked, Config{Backend: newNative(t), Engine: EngineCompiled}); err == nil {
+		t.Error("NewExec(compiled) of unlinked program succeeded")
 	}
 }
 
