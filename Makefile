@@ -141,18 +141,17 @@ cover:
 corpus:
 	$(GO) run ./cmd/htp-fuzz -emit-corpus testdata/campaign -seeds 20
 
-# Short native-fuzzing shake of every Fuzz target in the repo, one
-# FUZZTIME budget each.
-FUZZTIME ?= 10s
+# Short native-fuzzing shake of every Fuzz target in the repo, 10 s
+# each.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime $(FUZZTIME) ./internal/campaign/
-	$(GO) test -run '^$$' -fuzz '^FuzzOracle$$' -fuzztime $(FUZZTIME) ./internal/campaign/
-	$(GO) test -run '^$$' -fuzz '^FuzzPolicyEquivalence$$' -fuzztime $(FUZZTIME) ./internal/campaign/
-	$(GO) test -run '^$$' -fuzz '^FuzzReduce$$' -fuzztime $(FUZZTIME) ./internal/campaign/
-	$(GO) test -run '^$$' -fuzz '^FuzzVMvsTree$$' -fuzztime $(FUZZTIME) ./internal/prog/
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/progtext/
-	$(GO) test -run '^$$' -fuzz '^FuzzDensePlanEquivalence$$' -fuzztime $(FUZZTIME) ./internal/encoding/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadConfig$$' -fuzztime $(FUZZTIME) ./internal/patch/
+	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime 10s ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz '^FuzzOracle$$' -fuzztime 10s ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz '^FuzzPolicyEquivalence$$' -fuzztime 10s ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz '^FuzzReduce$$' -fuzztime 10s ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz '^FuzzVMvsTree$$' -fuzztime 10s ./internal/prog/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/progtext/
+	$(GO) test -run '^$$' -fuzz '^FuzzDensePlanEquivalence$$' -fuzztime 10s ./internal/encoding/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadConfig$$' -fuzztime 10s ./internal/patch/
 
 # The benchmark harness is a nested module (perfbench/go.mod), so the
 # root build and test never compile it: vet and test it on its own.

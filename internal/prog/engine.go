@@ -115,14 +115,12 @@ func Prepare(p *Program, cfg Config) (Config, error) {
 // Config from Prepare to share one Compiled across executors;
 // otherwise each call compiles p afresh.
 func NewExec(p *Program, cfg Config) (Exec, error) {
-	return newRunner(p, cfg)
-}
-
-func newRunner(p *Program, cfg Config) (runner, error) {
 	cfg, err := Prepare(p, cfg)
 	if err != nil {
 		return nil, err
 	}
+	// Explicit nil returns: a nil *Machine or *Interp would be a
+	// non-nil Exec.
 	if cfg.Engine == EngineCompiled {
 		m, err := NewMachine(cfg.Compiled, cfg)
 		if err != nil {

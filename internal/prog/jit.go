@@ -90,7 +90,43 @@ func (c *Compiled) closures(shape closShape, fnIdx int32) []closStep {
 // Machine is the compiled engine. Like *Interp it is single-goroutine;
 // unlike *Interp many Machines can share one Compiled.
 type Machine struct {
-	vm    vmState
+	c        *Compiled
+	backend  HeapBackend
+	bulk     BulkLoader  // non-nil when backend supports LoadInto
+	prober   PatchProber // non-nil when backend exposes patch verdicts
+	checkUse bool        // false only when the backend disclaims use points
+	maxSteps uint64
+	maxDepth int
+
+	// Per-run state.
+	input      []byte
+	inPos      int
+	output     []byte
+	v          uint64 // the thread-local CCID variable V
+	steps      uint64
+	cycles     uint64
+	encUpdates uint64
+	allocs     uint64
+	allocsByFn [8]uint64
+	frees      uint64
+	fault      error
+
+	frames  []*frameV // frame free list; frames[:nframes] are live
+	nframes int
+	globals []reg
+	ics     []siteIC
+	scratch Value // transient loads (Output)
+	args    []*Value
+
+	// Result.Returned staging capacity (RunReuse's zero-alloc path).
+	retBytes  []byte
+	retValid  []byte
+	retOrigin []uint32
+
+	// Cooperative scheduling hook (RunThreads).
+	yield      func()
+	yieldEvery uint64
+
 	code  [][]closStep // this Machine's view of the shared closure code
 	shape closShape
 	retv  *Value // staging between a ret step and its driver
@@ -105,7 +141,7 @@ type Machine struct {
 	retBuf    Value
 
 	// tickSlowAt folds the step-limit and scheduling-hook checks into
-	// one compare on mtick's hot path: vm.maxSteps normally, 0 when a
+	// one compare on mtick's hot path: m.maxSteps normally, 0 when a
 	// yield hook is installed (every tick must consider the hook).
 	tickSlowAt uint64
 }
@@ -117,20 +153,39 @@ var _ runner = (*Machine)(nil)
 // the coder the program was compiled with; cfg.Engine and cfg.Compiled
 // are ignored (c is the program).
 func NewMachine(c *Compiled, cfg Config) (*Machine, error) {
-	vm, err := newVMState(c, cfg)
-	if err != nil {
-		return nil, err
+	if c == nil {
+		return nil, errors.New("prog: NewMachine with nil Compiled")
+	}
+	if cfg.Backend == nil {
+		return nil, errors.New("prog: Config.Backend is required")
+	}
+	if cfg.Coder != c.coder {
+		return nil, fmt.Errorf("prog %s: Config.Coder does not match the coder the program was compiled with", c.p.Name)
 	}
 	m := &Machine{
-		vm:   vm,
-		code: make([][]closStep, len(c.funcs)),
-		shape: closShape{
-			checkUse: vm.checkUse,
-			bulk:     vm.bulk != nil,
-			prober:   vm.prober != nil,
-		},
-		tickSlowAt: vm.maxSteps,
+		c:        c,
+		backend:  cfg.Backend,
+		maxSteps: cfg.MaxSteps,
+		maxDepth: cfg.MaxDepth,
+		checkUse: true,
+		globals:  make([]reg, len(c.globalNames)),
+		ics:      make([]siteIC, c.icCount),
+		code:     make([][]closStep, len(c.funcs)),
 	}
+	if m.maxSteps == 0 {
+		m.maxSteps = DefaultMaxSteps
+	}
+	if m.maxDepth == 0 {
+		m.maxDepth = DefaultMaxDepth
+	}
+	m.bulk, _ = cfg.Backend.(BulkLoader)
+	if obs, ok := cfg.Backend.(UseObserver); ok && !obs.ObservesUse() {
+		// The backend guarantees CheckUse is a no-op: elide the calls.
+		m.checkUse = false
+	}
+	m.prober, _ = cfg.Backend.(PatchProber)
+	m.shape = closShape{checkUse: m.checkUse, bulk: m.bulk != nil, prober: m.prober != nil}
+	m.tickSlowAt = m.maxSteps
 	return m, nil
 }
 
@@ -138,12 +193,12 @@ func NewMachine(c *Compiled, cfg Config) (*Machine, error) {
 // hook is checked at every statement tick, so quantum boundaries are
 // identical to the tree-walker's.
 func (m *Machine) setSchedHook(every uint64, fn func()) {
-	m.vm.yieldEvery = every
-	m.vm.yield = fn
+	m.yieldEvery = every
+	m.yield = fn
 	if fn != nil {
 		m.tickSlowAt = 0
 	} else {
-		m.tickSlowAt = m.vm.maxSteps
+		m.tickSlowAt = m.maxSteps
 	}
 }
 
@@ -151,7 +206,20 @@ func (m *Machine) setSchedHook(every uint64, fn func()) {
 // the verdict inline caches, in compile order. Sites only profile
 // patch verdicts when the backend implements PatchProber; allocation
 // counts accumulate regardless.
-func (m *Machine) SiteProfile() []SiteStats { return m.vm.SiteProfile() }
+func (m *Machine) SiteProfile() []SiteStats {
+	out := make([]SiteStats, 0, len(m.c.allocs))
+	for i := range m.c.allocs {
+		rec := &m.c.allocs[i]
+		ic := &m.ics[rec.ic]
+		out = append(out, SiteStats{
+			Site:          rec.siteID,
+			Fn:            rec.byFn,
+			Allocs:        ic.allocs,
+			PatchedAllocs: ic.patchedAllocs,
+		})
+	}
+	return out
+}
 
 // Run executes the program on the given input; semantics are
 // identical to Interp.Run.
@@ -174,29 +242,28 @@ func (m *Machine) RunReuse(res *Result, input []byte) error {
 }
 
 func (m *Machine) run(res *Result, input []byte) error {
-	vm := &m.vm
-	vm.input = input
-	vm.inPos = 0
-	vm.output = res.Output[:0]
-	vm.v = 0
-	vm.steps = 0
-	vm.cycles = 0
-	vm.encUpdates = 0
-	vm.allocs = 0
-	vm.allocsByFn = [8]uint64{}
-	vm.frees = 0
-	vm.fault = nil
-	for i := range vm.globals {
-		vm.globals[i].def = false
+	m.input = input
+	m.inPos = 0
+	m.output = res.Output[:0]
+	m.v = 0
+	m.steps = 0
+	m.cycles = 0
+	m.encUpdates = 0
+	m.allocs = 0
+	m.allocsByFn = [8]uint64{}
+	m.frees = 0
+	m.fault = nil
+	for i := range m.globals {
+		m.globals[i].def = false
 	}
-	vm.nframes = 0
+	m.nframes = 0
 	m.retv = nil
 	m.trap = nil
 	m.retScalar = false
 	res.Returned = Value{}
-	startCycles := vm.backend.Cycles()
+	startCycles := m.backend.Cycles()
 
-	f := vm.pushFrame(0)
+	f := m.pushFrame(0)
 	rv, err := m.invoke(0, f)
 	if err == nil {
 		if m.retScalar {
@@ -208,24 +275,24 @@ func (m *Machine) run(res *Result, input []byte) error {
 			binary.LittleEndian.PutUint64(m.retBuf.Bytes, m.retU)
 			rv = &m.retBuf
 		}
-		vm.setReturned(res, rv)
+		m.setReturned(res, rv)
 	}
 	// Steps are counted without charging the per-statement cycle cost
 	// (see mtick); settle it in one multiply so cycle totals match the
 	// tree-walker exactly.
-	vm.cycles += CycStmt * vm.steps
-	res.Output = vm.output
-	res.Steps = vm.steps
-	res.EncUpdates = vm.encUpdates
-	res.Allocs = vm.allocs
-	res.AllocsByFn = vm.allocsByFn
-	res.Frees = vm.frees
-	res.InterpCycles = vm.cycles
-	res.Cycles = vm.cycles + (vm.backend.Cycles() - startCycles)
+	m.cycles += CycStmt * m.steps
+	res.Output = m.output
+	res.Steps = m.steps
+	res.EncUpdates = m.encUpdates
+	res.Allocs = m.allocs
+	res.AllocsByFn = m.allocsByFn
+	res.Frees = m.frees
+	res.InterpCycles = m.cycles
+	res.Cycles = m.cycles + (m.backend.Cycles() - startCycles)
 	res.Fault = nil
 	if err != nil {
 		if errors.Is(err, errCrashed) {
-			res.Fault = vm.fault
+			res.Fault = m.fault
 			return nil
 		}
 		return err
@@ -238,7 +305,7 @@ func (m *Machine) run(res *Result, input []byte) error {
 func (m *Machine) invoke(fnIdx int32, f *frameV) (*Value, error) {
 	steps := m.code[fnIdx]
 	if steps == nil {
-		steps = m.vm.c.closures(m.shape, fnIdx)
+		steps = m.c.closures(m.shape, fnIdx)
 		m.code[fnIdx] = steps
 	}
 	return m.runSteps(steps, f)
@@ -270,8 +337,8 @@ func (m *Machine) runSteps(steps []closStep, f *frameV) (*Value, error) {
 // arithmetically identical and keeps this prefix inside the inlining
 // budget.
 func (m *Machine) mtick() bool {
-	m.vm.steps++
-	if m.vm.steps > m.tickSlowAt {
+	m.steps++
+	if m.steps > m.tickSlowAt {
 		return m.mtickSlow()
 	}
 	return true
@@ -284,19 +351,18 @@ func (m *Machine) mtick() bool {
 //
 //go:noinline
 func (m *Machine) mtickSlow() bool {
-	vm := &m.vm
-	if vm.steps > vm.maxSteps {
+	if m.steps > m.maxSteps {
 		return m.stepLimit()
 	}
-	if vm.yield != nil && vm.steps%vm.yieldEvery == 0 {
-		vm.yield()
+	if m.yield != nil && m.steps%m.yieldEvery == 0 {
+		m.yield()
 	}
 	return true
 }
 
 //go:noinline
 func (m *Machine) stepLimit() bool {
-	m.trap = fmt.Errorf("prog %s: step limit %d exceeded", m.vm.c.p.Name, m.vm.maxSteps)
+	m.trap = fmt.Errorf("prog %s: step limit %d exceeded", m.c.p.Name, m.maxSteps)
 	return false
 }
 
@@ -394,7 +460,7 @@ func (m *Machine) fetchUintSlow(f *frameV, r *reg, o *opref) (uint64, bool) {
 
 //go:noinline
 func (m *Machine) fetchUndef(o *opref) {
-	m.trap = m.vm.undefVar(o.name)
+	m.trap = m.undefVar(o.name)
 }
 
 // opref is an operand resolved at closure-compile time: either a
@@ -549,7 +615,7 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 				return stepFault
 			}
 			if !f.regs[idx].def {
-				m.trap = m.vm.undefVar(name)
+				m.trap = m.undefVar(name)
 				return stepFault
 			}
 			return next
@@ -638,7 +704,7 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 			if tick && !m.mtick() {
 				return stepFault
 			}
-			f.regs[dst].setU(uint64(len(m.vm.input)))
+			f.regs[dst].setU(uint64(len(m.input)))
 			return next
 		}
 
@@ -648,7 +714,7 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 			if tick && !m.mtick() {
 				return stepFault
 			}
-			f.regs[dst].setU(uint64(len(m.vm.input) - m.vm.inPos))
+			f.regs[dst].setU(uint64(len(m.input) - m.inPos))
 			return next
 		}
 
@@ -658,7 +724,7 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 			if tick && !m.mtick() {
 				return stepFault
 			}
-			g := &m.vm.globals[aux]
+			g := &m.globals[aux]
 			if g.def {
 				f.regs[dst].set(&g.val)
 			} else {
@@ -678,7 +744,7 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 			if src == nil {
 				return stepFault
 			}
-			m.vm.globals[aux].set(src)
+			m.globals[aux].set(src)
 			return next
 		}
 
@@ -726,7 +792,7 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 			if cv == nil {
 				return stepFault
 			}
-			m.vm.backend.CheckUse(*cv, UseControlFlow, m.vm.v)
+			m.backend.CheckUse(*cv, UseControlFlow, m.v)
 			if cv.Uint() == 0 {
 				return elseIdx
 			}
@@ -799,10 +865,9 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 				if !ok {
 					return stepFault
 				}
-				vm := &m.vm
-				vm.frees++
-				if ferr := vm.backend.Free(pu, vm.v); ferr != nil {
-					m.trap = vm.crash(ferr)
+				m.frees++
+				if ferr := m.backend.Free(pu, m.v); ferr != nil {
+					m.trap = m.crash(ferr)
 					return stepFault
 				}
 				return next
@@ -816,11 +881,10 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 			if pv == nil {
 				return stepFault
 			}
-			vm := &m.vm
-			vm.backend.CheckUse(*pv, UseAddress, vm.v)
-			vm.frees++
-			if ferr := vm.backend.Free(pv.Uint(), vm.v); ferr != nil {
-				m.trap = vm.crash(ferr)
+			m.backend.CheckUse(*pv, UseAddress, m.v)
+			m.frees++
+			if ferr := m.backend.Free(pv.Uint(), m.v); ferr != nil {
+				m.trap = m.crash(ferr)
 				return stepFault
 			}
 			return next
@@ -843,17 +907,16 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 			if nv == nil {
 				return stepFault
 			}
-			vm := &m.vm
 			r := &f.regs[dst]
 			if bulk {
-				if lerr := vm.loadIntoReg(r, addr, nv.Uint()); lerr != nil {
-					m.trap = vm.crash(lerr)
+				if lerr := m.loadIntoReg(r, addr, nv.Uint()); lerr != nil {
+					m.trap = m.crash(lerr)
 					return stepFault
 				}
 			} else {
-				v, lerr := vm.backend.Load(addr, nv.Uint(), vm.v)
+				v, lerr := m.backend.Load(addr, nv.Uint(), m.v)
 				if lerr != nil {
-					m.trap = vm.crash(lerr)
+					m.trap = m.crash(lerr)
 					return stepFault
 				}
 				r.val = v
@@ -894,9 +957,8 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 					n = 8
 				}
 			}
-			vm := &m.vm
-			if serr := vm.backend.Store(addr, sv.View(0, int(n)), vm.v); serr != nil {
-				m.trap = vm.crash(serr)
+			if serr := m.backend.Store(addr, sv.View(0, int(n)), m.v); serr != nil {
+				m.trap = m.crash(serr)
 				return stepFault
 			}
 			return next
@@ -917,9 +979,8 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 			if sv == nil {
 				return stepFault
 			}
-			vm := &m.vm
-			if serr := vm.backend.Store(addr, *sv, vm.v); serr != nil {
-				m.trap = vm.crash(serr)
+			if serr := m.backend.Store(addr, *sv, m.v); serr != nil {
+				m.trap = m.crash(serr)
 				return stepFault
 			}
 			return next
@@ -936,9 +997,8 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 			if !ok {
 				return stepFault
 			}
-			vm := &m.vm
-			if serr := vm.backend.Store(addr, data, vm.v); serr != nil {
-				m.trap = vm.crash(serr)
+			if serr := m.backend.Store(addr, data, m.v); serr != nil {
+				m.trap = m.crash(serr)
 				return stepFault
 			}
 			return next
@@ -963,13 +1023,12 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 			if nv == nil {
 				return stepFault
 			}
-			vm := &m.vm
 			if cu {
-				vm.backend.CheckUse(*dv, UseAddress, vm.v)
-				vm.backend.CheckUse(*sv, UseAddress, vm.v)
+				m.backend.CheckUse(*dv, UseAddress, m.v)
+				m.backend.CheckUse(*sv, UseAddress, m.v)
 			}
-			if merr := vm.backend.Memcpy(dv.Uint(), sv.Uint(), nv.Uint(), vm.v); merr != nil {
-				m.trap = vm.crash(merr)
+			if merr := m.backend.Memcpy(dv.Uint(), sv.Uint(), nv.Uint(), m.v); merr != nil {
+				m.trap = m.crash(merr)
 				return stepFault
 			}
 			return next
@@ -994,12 +1053,11 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 			if nv == nil {
 				return stepFault
 			}
-			vm := &m.vm
 			if cu {
-				vm.backend.CheckUse(*dv, UseAddress, vm.v)
+				m.backend.CheckUse(*dv, UseAddress, m.v)
 			}
-			if merr := vm.backend.Memset(dv.Uint(), byte(bv.Uint()), nv.Uint(), vm.v); merr != nil {
-				m.trap = vm.crash(merr)
+			if merr := m.backend.Memset(dv.Uint(), byte(bv.Uint()), nv.Uint(), m.v); merr != nil {
+				m.trap = m.crash(merr)
 				return stepFault
 			}
 			return next
@@ -1016,9 +1074,8 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 			if nv == nil {
 				return stepFault
 			}
-			vm := &m.vm
 			// Clamp in uint64 space (see the tree-walker's ReadInput).
-			take := len(vm.input) - vm.inPos
+			take := len(m.input) - m.inPos
 			if nu := nv.Uint(); nu < uint64(take) {
 				take = int(nu)
 			}
@@ -1028,8 +1085,8 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 			} else {
 				r.val.Bytes = r.val.Bytes[:take]
 			}
-			copy(r.val.Bytes, vm.input[vm.inPos:vm.inPos+take])
-			vm.inPos += take
+			copy(r.val.Bytes, m.input[m.inPos:m.inPos+take])
+			m.inPos += take
 			r.val.Valid = nil
 			r.val.Origin = nil
 			r.uok = false
@@ -1053,27 +1110,26 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 			if nv == nil {
 				return stepFault
 			}
-			vm := &m.vm
 			if bulk {
-				if lerr := vm.bulk.LoadInto(&vm.scratch, addr, nv.Uint(), vm.v); lerr != nil {
-					m.trap = vm.crash(lerr)
+				if lerr := m.bulk.LoadInto(&m.scratch, addr, nv.Uint(), m.v); lerr != nil {
+					m.trap = m.crash(lerr)
 					return stepFault
 				}
 				if cu {
-					vm.backend.CheckUse(vm.scratch, UseOutput, vm.v)
+					m.backend.CheckUse(m.scratch, UseOutput, m.v)
 				}
-				vm.output = append(vm.output, vm.scratch.Bytes...)
+				m.output = append(m.output, m.scratch.Bytes...)
 				return next
 			}
-			v, lerr := vm.backend.Load(addr, nv.Uint(), vm.v)
+			v, lerr := m.backend.Load(addr, nv.Uint(), m.v)
 			if lerr != nil {
-				m.trap = vm.crash(lerr)
+				m.trap = m.crash(lerr)
 				return stepFault
 			}
 			if cu {
-				vm.backend.CheckUse(v, UseOutput, vm.v)
+				m.backend.CheckUse(v, UseOutput, m.v)
 			}
-			vm.output = append(vm.output, v.Bytes...)
+			m.output = append(m.output, v.Bytes...)
 			return next
 		}
 
@@ -1088,11 +1144,10 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 			if sv == nil {
 				return stepFault
 			}
-			vm := &m.vm
 			if cu {
-				vm.backend.CheckUse(*sv, UseOutput, vm.v)
+				m.backend.CheckUse(*sv, UseOutput, m.v)
 			}
-			vm.output = append(vm.output, sv.Bytes...)
+			m.output = append(m.output, sv.Bytes...)
 			return next
 		}
 
@@ -1104,7 +1159,7 @@ func (fc *fnCompiler) build(pc int32, fused bool) closStep {
 			if tick && !m.mtick() {
 				return stepFault
 			}
-			m.trap = fmt.Errorf("prog %s: unknown opcode %d", m.vm.c.p.Name, op)
+			m.trap = fmt.Errorf("prog %s: unknown opcode %d", m.c.p.Name, op)
 			return stepFault
 		}
 	}
@@ -1163,7 +1218,7 @@ func (fc *fnCompiler) buildAddr(a, b int32) func(m *Machine, f *frameV) (uint64,
 			if bv == nil {
 				return 0, false
 			}
-			m.vm.backend.CheckUse(*bv, UseAddress, m.vm.v)
+			m.backend.CheckUse(*bv, UseAddress, m.v)
 			return bv.Uint(), true
 		}
 	}
@@ -1173,12 +1228,12 @@ func (fc *fnCompiler) buildAddr(a, b int32) func(m *Machine, f *frameV) (uint64,
 		if bv == nil {
 			return 0, false
 		}
-		m.vm.backend.CheckUse(*bv, UseAddress, m.vm.v)
+		m.backend.CheckUse(*bv, UseAddress, m.v)
 		ov := m.fetch(f, &off)
 		if ov == nil {
 			return 0, false
 		}
-		m.vm.backend.CheckUse(*ov, UseAddress, m.vm.v)
+		m.backend.CheckUse(*ov, UseAddress, m.v)
 		return bv.Uint() + ov.Uint(), true
 	}
 }
@@ -1249,27 +1304,26 @@ func (fc *fnCompiler) buildCall(ins *instr, tick bool, next int32) closStep {
 				}
 				vbuf[i] = v
 			}
-			vm := &m.vm
 			if arityBad {
 				m.trap = fmt.Errorf("prog %s: call to %s with %d args, want %d",
-					vm.c.p.Name, calleeName, argN, nparams)
+					m.c.p.Name, calleeName, argN, nparams)
 				return stepFault
 			}
-			if vm.nframes > vm.maxDepth {
-				m.trap = fmt.Errorf("prog %s: call depth limit %d exceeded", vm.c.p.Name, vm.maxDepth)
+			if m.nframes > m.maxDepth {
+				m.trap = fmt.Errorf("prog %s: call depth limit %d exceeded", m.c.p.Name, m.maxDepth)
 				return stepFault
 			}
 			if instrumented {
 				if mul3 {
-					vm.v = 3*f.t + konst
+					m.v = 3*f.t + konst
 				} else {
-					vm.v = f.t + konst
+					m.v = f.t + konst
 				}
-				vm.encUpdates++
-				vm.cycles += encCyc
+				m.encUpdates++
+				m.cycles += encCyc
 			}
-			vm.cycles += CycCall
-			nf := vm.pushFrame(fnIdx)
+			m.cycles += CycCall
+			nf := m.pushFrame(fnIdx)
 			for i := 0; i < argN; i++ {
 				if vbuf[i] == nil {
 					nf.regs[i].setU(ubuf[i])
@@ -1278,16 +1332,16 @@ func (fc *fnCompiler) buildCall(ins *instr, tick bool, next int32) closStep {
 				}
 			}
 			if prologue {
-				vm.cycles += CycEncPrologue
+				m.cycles += CycEncPrologue
 			}
 			rv, err := m.invoke(fnIdx, nf)
 			if err != nil {
 				m.trap = err
 				return stepFault
 			}
-			vm.nframes--
+			m.nframes--
 			// Restore discipline: V returns to the caller's context.
-			vm.v = f.t
+			m.v = f.t
 			if dst != opndNone {
 				if m.retScalar {
 					m.retScalar = false
@@ -1308,11 +1362,10 @@ func (fc *fnCompiler) buildCall(ins *instr, tick bool, next int32) closStep {
 		if tick && !m.mtick() {
 			return stepFault
 		}
-		vm := &m.vm
-		if cap(vm.args) < argN {
-			vm.args = make([]*Value, argN)
+		if cap(m.args) < argN {
+			m.args = make([]*Value, argN)
 		}
-		args := vm.args[:argN]
+		args := m.args[:argN]
 		for i := range argRefs {
 			v := m.fetch(f, &argRefs[i])
 			if v == nil {
@@ -1322,38 +1375,38 @@ func (fc *fnCompiler) buildCall(ins *instr, tick bool, next int32) closStep {
 		}
 		if arityBad {
 			m.trap = fmt.Errorf("prog %s: call to %s with %d args, want %d",
-				vm.c.p.Name, calleeName, argN, nparams)
+				m.c.p.Name, calleeName, argN, nparams)
 			return stepFault
 		}
-		if vm.nframes > vm.maxDepth {
-			m.trap = fmt.Errorf("prog %s: call depth limit %d exceeded", vm.c.p.Name, vm.maxDepth)
+		if m.nframes > m.maxDepth {
+			m.trap = fmt.Errorf("prog %s: call depth limit %d exceeded", m.c.p.Name, m.maxDepth)
 			return stepFault
 		}
 		if instrumented {
 			if mul3 {
-				vm.v = 3*f.t + konst
+				m.v = 3*f.t + konst
 			} else {
-				vm.v = f.t + konst
+				m.v = f.t + konst
 			}
-			vm.encUpdates++
-			vm.cycles += encCyc
+			m.encUpdates++
+			m.cycles += encCyc
 		}
-		vm.cycles += CycCall
-		nf := vm.pushFrame(fnIdx)
+		m.cycles += CycCall
+		nf := m.pushFrame(fnIdx)
 		for i := 0; i < argN; i++ {
 			nf.regs[i].set(args[i])
 		}
 		if prologue {
-			vm.cycles += CycEncPrologue
+			m.cycles += CycEncPrologue
 		}
 		rv, err := m.invoke(fnIdx, nf)
 		if err != nil {
 			m.trap = err
 			return stepFault
 		}
-		vm.nframes--
+		m.nframes--
 		// Restore discipline: V returns to the caller's context.
-		vm.v = f.t
+		m.v = f.t
 		if dst != opndNone {
 			if m.retScalar {
 				m.retScalar = false
@@ -1404,7 +1457,6 @@ func (fc *fnCompiler) buildAlloc(ins *instr, tick bool, next int32) closStep {
 		if tick && !m.mtick() {
 			return stepFault
 		}
-		vm := &m.vm
 		// Every operand here is consumed as an integer (the allocator
 		// interface takes uint64s), so the unboxed path applies even
 		// under CheckUse shapes: the tree-walker performs no use-point
@@ -1429,41 +1481,41 @@ func (fc *fnCompiler) buildAlloc(ins *instr, tick bool, next int32) closStep {
 		if !ok {
 			return stepFault
 		}
-		ccid := vm.v
+		ccid := m.v
 		if hasCCID {
 			cv, ok := m.fetchUint(f, &ccidRef)
 			if !ok {
 				return stepFault
 			}
 			ccid = cv
-			vm.encUpdates++
-			vm.cycles += CycEncUpdatePCC
+			m.encUpdates++
+			m.cycles += CycEncUpdatePCC
 		} else if instrumented {
 			if mul3 {
 				ccid = 3*f.t + konst
 			} else {
 				ccid = f.t + konst
 			}
-			vm.encUpdates++
-			vm.cycles += encCyc
+			m.encUpdates++
+			m.cycles += encCyc
 		}
-		vm.allocs++
-		vm.allocsByFn[byFn]++
+		m.allocs++
+		m.allocsByFn[byFn]++
 		var ptr uint64
 		var aerr error
 		if realloc {
-			ptr, aerr = vm.backend.Realloc(ccid, ptrU, sizeU)
+			ptr, aerr = m.backend.Realloc(ccid, ptrU, sizeU)
 		} else {
-			ptr, aerr = vm.backend.Alloc(allocFn, ccid, nU, sizeU, alignU)
+			ptr, aerr = m.backend.Alloc(allocFn, ccid, nU, sizeU, alignU)
 		}
 		if aerr != nil {
-			m.trap = vm.crash(aerr)
+			m.trap = m.crash(aerr)
 			return stepFault
 		}
 		f.regs[dst].setU(ptr)
-		vm.ics[icIdx].allocs++
+		m.ics[icIdx].allocs++
 		if probe {
-			vm.noteAlloc(rec, ccid)
+			m.noteAlloc(rec, ccid)
 		}
 		return next
 	}
@@ -1503,7 +1555,7 @@ func (fc *fnCompiler) buildBinBr(bin, br *instr, next int32) closStep {
 			return stepFault
 		}
 		if cu {
-			m.vm.backend.CheckUse(dreg.val, UseControlFlow, m.vm.v)
+			m.backend.CheckUse(dreg.val, UseControlFlow, m.v)
 		}
 		// setBin stored r as the scalar result, so branch on it directly.
 		if dreg.val.Uint() == 0 {
@@ -1543,7 +1595,7 @@ func (fc *fnCompiler) buildBinBr(bin, br *instr, next int32) closStep {
 		}
 		if cu {
 			dreg.materialize()
-			m.vm.backend.CheckUse(dreg.val, UseControlFlow, m.vm.v)
+			m.backend.CheckUse(dreg.val, UseControlFlow, m.v)
 		}
 		if r == 0 {
 			return elseIdx

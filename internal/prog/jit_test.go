@@ -211,7 +211,7 @@ func TestPrepareSharesCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := ex.(*Machine); !ok || m.vm.c != cfg.Compiled {
+	if m, ok := ex.(*Machine); !ok || m.c != cfg.Compiled {
 		t.Errorf("NewExec(prepared) = %T, not a Machine over the prepared Compiled", ex)
 	}
 	tree, err := Prepare(p, Config{})

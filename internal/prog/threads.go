@@ -53,10 +53,11 @@ func RunThreads(p *Program, cfg Config, inputs [][]byte, quantum uint64) ([]*Res
 	}
 	interps := make([]runner, n)
 	for i := 0; i < n; i++ {
-		it, err := newRunner(p, cfg)
+		ex, err := NewExec(p, cfg)
 		if err != nil {
 			return nil, err
 		}
+		it := ex.(runner)
 		grants[i] = make(chan struct{})
 		i := i
 		it.setSchedHook(quantum, func() {

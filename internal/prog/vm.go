@@ -24,7 +24,6 @@ package prog
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"heaptherapy/internal/callgraph"
@@ -193,121 +192,25 @@ type SiteStats struct {
 	PatchedAllocs uint64
 }
 
-// vmState is one Machine's mutable state over a Compiled program.
-type vmState struct {
-	c        *Compiled
-	backend  HeapBackend
-	bulk     BulkLoader  // non-nil when backend supports LoadInto
-	prober   PatchProber // non-nil when backend exposes patch verdicts
-	checkUse bool        // false only when the backend disclaims use points
-	maxSteps uint64
-	maxDepth int
-
-	// Per-run state.
-	input      []byte
-	inPos      int
-	output     []byte
-	v          uint64 // the thread-local CCID variable V
-	steps      uint64
-	cycles     uint64
-	encUpdates uint64
-	allocs     uint64
-	allocsByFn [8]uint64
-	frees      uint64
-	fault      error
-
-	frames  []*frameV // frame free list; frames[:nframes] are live
-	nframes int
-	globals []reg
-	ics     []siteIC
-	scratch Value // transient loads (Output)
-	args    []*Value
-
-	// Result.Returned staging capacity (RunReuse's zero-alloc path).
-	retBytes  []byte
-	retValid  []byte
-	retOrigin []uint32
-
-	// Cooperative scheduling hook (RunThreads).
-	yield      func()
-	yieldEvery uint64
-}
-
-// newVMState binds a compiled program to a backend. cfg.Coder must be
-// the coder the program was compiled with: site updates were resolved
-// against it at compile time.
-func newVMState(c *Compiled, cfg Config) (vmState, error) {
-	if c == nil {
-		return vmState{}, errors.New("prog: NewMachine with nil Compiled")
-	}
-	if cfg.Backend == nil {
-		return vmState{}, errors.New("prog: Config.Backend is required")
-	}
-	if cfg.Coder != c.coder {
-		return vmState{}, fmt.Errorf("prog %s: Config.Coder does not match the coder the program was compiled with", c.p.Name)
-	}
-	vm := vmState{
-		c:        c,
-		backend:  cfg.Backend,
-		maxSteps: cfg.MaxSteps,
-		maxDepth: cfg.MaxDepth,
-		checkUse: true,
-		globals:  make([]reg, len(c.globalNames)),
-		ics:      make([]siteIC, c.icCount),
-	}
-	if vm.maxSteps == 0 {
-		vm.maxSteps = DefaultMaxSteps
-	}
-	if vm.maxDepth == 0 {
-		vm.maxDepth = DefaultMaxDepth
-	}
-	vm.bulk, _ = cfg.Backend.(BulkLoader)
-	if obs, ok := cfg.Backend.(UseObserver); ok && !obs.ObservesUse() {
-		// The backend guarantees CheckUse is a no-op: elide the calls.
-		vm.checkUse = false
-	}
-	vm.prober, _ = cfg.Backend.(PatchProber)
-	return vm, nil
-}
-
-// SiteProfile reports the per-allocation-site profile accumulated by
-// the verdict inline caches, in compile order. Sites only profile
-// patch verdicts when the backend implements PatchProber; allocation
-// counts accumulate regardless.
-func (vm *vmState) SiteProfile() []SiteStats {
-	out := make([]SiteStats, 0, len(vm.c.allocs))
-	for i := range vm.c.allocs {
-		rec := &vm.c.allocs[i]
-		ic := &vm.ics[rec.ic]
-		out = append(out, SiteStats{
-			Site:          rec.siteID,
-			Fn:            rec.byFn,
-			Allocs:        ic.allocs,
-			PatchedAllocs: ic.patchedAllocs,
-		})
-	}
-	return out
-}
-
 // crash records a fault and returns the crash sentinel (shared with
 // the tree-walker).
-func (vm *vmState) crash(err error) error {
-	vm.fault = err
+func (m *Machine) crash(err error) error {
+	m.fault = err
 	return errCrashed
 }
 
-func (vm *vmState) undefVar(name string) error {
-	return fmt.Errorf("prog %s: undefined variable %q", vm.c.p.Name, name)
+func (m *Machine) undefVar(name string) error {
+	return fmt.Errorf("prog %s: undefined variable %q", m.c.p.Name, name)
 }
 
 // pushFrame activates a recycled (or new) frame for funcs[fnIdx].
-func (vm *vmState) pushFrame(fnIdx int32) *frameV {
-	vm.nframes++
-	if vm.nframes > len(vm.frames) {
-		vm.frames = append(vm.frames, &frameV{})
+func (m *Machine) pushFrame(fnIdx int32) *frameV {
+	m.nframes++
+	if m.nframes > len(m.frames) {
+		m.frames = append(m.frames, &frameV{})
 	}
-	nf := vm.frames[vm.nframes-1]
-	nregs := int(vm.c.funcs[fnIdx].nregs)
+	nf := m.frames[m.nframes-1]
+	nregs := int(m.c.funcs[fnIdx].nregs)
 	if cap(nf.regs) < nregs {
 		nf.regs = make([]reg, nregs)
 	} else {
@@ -317,17 +220,17 @@ func (vm *vmState) pushFrame(fnIdx int32) *frameV {
 		}
 	}
 	nf.fn = fnIdx
-	nf.t = vm.v
+	nf.t = m.v
 	return nf
 }
 
 // loadIntoReg bulk-loads into a register's owned buffers, lending the
 // register's parked shadow capacity to the backend and harvesting any
 // growth back.
-func (vm *vmState) loadIntoReg(r *reg, addr, n uint64) error {
+func (m *Machine) loadIntoReg(r *reg, addr, n uint64) error {
 	r.val.Valid = r.validCap
 	r.val.Origin = r.originCap
-	err := vm.bulk.LoadInto(&r.val, addr, n, vm.v)
+	err := m.bulk.LoadInto(&r.val, addr, n, m.v)
 	if r.val.Valid != nil {
 		r.validCap = r.val.Valid
 	}
@@ -345,11 +248,11 @@ func (vm *vmState) loadIntoReg(r *reg, addr, n uint64) error {
 // noteAlloc maintains one site's verdict inline cache: revalidated by
 // table generation and allocation CCID, probed (side-effect-free) only
 // on a miss.
-func (vm *vmState) noteAlloc(rec *allocRec, ccid uint64) {
-	ic := &vm.ics[rec.ic]
-	gen := vm.prober.PatchTableGeneration()
+func (m *Machine) noteAlloc(rec *allocRec, ccid uint64) {
+	ic := &m.ics[rec.ic]
+	gen := m.prober.PatchTableGeneration()
 	if !ic.valid || ic.gen != gen || ic.ccid != ccid {
-		ic.patched = vm.prober.ProbePatched(rec.fn, ccid)
+		ic.patched = m.prober.ProbePatched(rec.fn, ccid)
 		ic.gen = gen
 		ic.ccid = ccid
 		ic.valid = true
@@ -365,28 +268,28 @@ var zeroValue Value
 // setReturned stages the entry function's return value into the
 // Result, reusing the machine's staging capacity (rv may point into a
 // register about to be recycled by the next run).
-func (vm *vmState) setReturned(res *Result, rv *Value) {
+func (m *Machine) setReturned(res *Result, rv *Value) {
 	if rv == nil {
 		res.Returned = Value{}
 		return
 	}
-	vm.retBytes = growValueBytes(vm.retBytes, uint64(len(rv.Bytes)))
-	copy(vm.retBytes, rv.Bytes)
-	out := Value{Bytes: vm.retBytes}
+	m.retBytes = growValueBytes(m.retBytes, uint64(len(rv.Bytes)))
+	copy(m.retBytes, rv.Bytes)
+	out := Value{Bytes: m.retBytes}
 	if rv.Valid != nil {
-		vm.retValid = growValueBytes(vm.retValid, uint64(len(rv.Valid)))
-		copy(vm.retValid, rv.Valid)
-		out.Valid = vm.retValid
+		m.retValid = growValueBytes(m.retValid, uint64(len(rv.Valid)))
+		copy(m.retValid, rv.Valid)
+		out.Valid = m.retValid
 	}
 	if rv.Origin != nil {
 		n := len(rv.Origin)
-		if cap(vm.retOrigin) < n {
-			vm.retOrigin = make([]uint32, n)
+		if cap(m.retOrigin) < n {
+			m.retOrigin = make([]uint32, n)
 		} else {
-			vm.retOrigin = vm.retOrigin[:n]
+			m.retOrigin = m.retOrigin[:n]
 		}
-		copy(vm.retOrigin, rv.Origin)
-		out.Origin = vm.retOrigin
+		copy(m.retOrigin, rv.Origin)
+		out.Origin = m.retOrigin
 	}
 	res.Returned = out
 }
